@@ -11,7 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ems import ReflectionLookupTable, design_panel, ems_tpa, ems_upper_bound_tpa
-from .errors import DomainError, FresnelValidityError, FresnelValidityWarning
+from .errors import (DomainError, FresnelValidityError, FresnelValidityWarning,
+                     SkinlinkError)
 from .field_engine import fresnel_min_distance
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, db
@@ -147,7 +148,8 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
     The skin is re-synthesized (phase conjugation for the updated geometry) at
     every point. For a rho sweep both antenna distances are set to rho/2. For
     sweeps over anything but side_l the panel side must be given. Per-point
-    failures are recorded in the row and the sweep continues. Points run in a
+    library errors are recorded in the row, prefixed with their type, and the
+    sweep continues; any other exception propagates. Points run in a
     thread pool with deterministic, input-ordered results.
     """
     values = list(values)
@@ -155,8 +157,8 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         raise DomainError(f"unknown sweep variable {variable!r}")
     if not values:
         raise DomainError("sweep needs at least one value")
-    if any(v <= 0 for v in values):
-        raise DomainError("sweep values must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise DomainError("sweep values must be finite and positive")
     if sorted(values) != values:
         raise DomainError("sweep values must be sorted ascending")
     if variable != "side_l" and side_l is None:
@@ -174,10 +176,11 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
                 length, point_scenario.wavelength)
             return TpaSweepRow(variable=variable, value=value, a_pcs=a_pcs,
                                a_ems=a_ems, a_opt=a_opt, a_inf=a_inf, fresnel_ok=ok)
-        except Exception as exc:  # recorded per row, sweep continues
+        except SkinlinkError as exc:  # recorded per row, sweep continues
             return TpaSweepRow(variable=variable, value=value,
                                a_pcs=math.nan, a_ems=math.nan, a_opt=math.nan,
-                               a_inf=math.nan, fresnel_ok=False, error=str(exc))
+                               a_inf=math.nan, fresnel_ok=False,
+                               error=f"{type(exc).__name__}: {exc}")
 
     n = workers if workers is not None else worker_count(len(values))
     if n <= 1:

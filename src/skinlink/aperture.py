@@ -63,62 +63,59 @@ def discretize(side_l: float, pitch: float, centered: bool = False) -> ApertureG
 
 @dataclass(frozen=True)
 class DescriptorVector:
-    """Panel descriptors: the side plus per-cell meta-atom geometry values.
+    """Panel descriptors: the side plus one meta-atom geometry value per cell.
 
-    values holds g_pq^b in the flattened order s - 1 = b + (p + q*Q)*B, so the
-    full vector is (side_l,) + values with total length 1 + B*P*Q.
+    values holds g_pq in the flattened order s - 1 = p + q*P, so the full
+    vector is (side_l,) + values with total length 1 + P*Q.
     """
 
     side_l: float
-    values: np.ndarray     # shape (B*P*Q,), geometry values [m]
+    values: np.ndarray     # shape (P*Q,), geometry values [m]
     p_count: int
     q_count: int
-    b_count: int = 1
 
     def __post_init__(self):
         if self.p_count != self.q_count:
             raise LayoutError("panels are square: P must equal Q")
-        expected = self.b_count * self.p_count * self.q_count
+        expected = self.p_count * self.q_count
         if self.values.shape != (expected,):
             raise LayoutError(
-                f"descriptor length {self.values.shape} != B*P*Q = {expected}")
+                f"descriptor length {self.values.shape} != P*Q = {expected}")
 
     @property
     def length(self) -> int:
-        """Total descriptor count S = 1 + B*P*Q."""
+        """Total descriptor count S = 1 + P*Q."""
         return 1 + self.values.size
 
-    def flat_index(self, b: int, p: int, q: int) -> int:
-        """Position s of g_pq^b in the full descriptor vector."""
-        if not (0 <= b < self.b_count and 0 <= p < self.p_count and 0 <= q < self.q_count):
-            raise LayoutError(f"descriptor index (b={b}, p={p}, q={q}) out of range")
-        return 1 + b + (p + q * self.q_count) * self.b_count
+    def flat_index(self, p: int, q: int) -> int:
+        """Position s of g_pq in the full descriptor vector."""
+        if not (0 <= p < self.p_count and 0 <= q < self.q_count):
+            raise LayoutError(f"descriptor index (p={p}, q={q}) out of range")
+        return 1 + p + q * self.p_count
 
     def unflatten_index(self, s: int):
-        """Inverse of flat_index: s -> (b, p, q)."""
+        """Inverse of flat_index: s -> (p, q)."""
         if not 1 <= s < self.length:
             raise LayoutError(f"descriptor position {s} out of range")
-        rem, b = divmod(s - 1, self.b_count)
-        q, p = divmod(rem, self.p_count)
-        return b, p, q
+        q, p = divmod(s - 1, self.p_count)
+        return p, q
 
-    def g(self, p: int, q: int, b: int = 0) -> float:
-        return float(self.values[self.flat_index(b, p, q) - 1])
+    def g(self, p: int, q: int) -> float:
+        return float(self.values[self.flat_index(p, q) - 1])
 
-    def as_matrix(self, b: int = 0) -> np.ndarray:
-        """Geometry values as a (P, Q) matrix indexed [p, q] for one descriptor."""
-        cube = self.values.reshape(self.q_count, self.p_count, self.b_count)
-        return cube[:, :, b].T.copy()
+    def as_matrix(self) -> np.ndarray:
+        """Geometry values as a (P, Q) matrix indexed [p, q]."""
+        return self.values.reshape(self.q_count, self.p_count).T.copy()
 
 
 def descriptor_from_matrix(side_l: float, matrix: np.ndarray) -> DescriptorVector:
-    """Build a single-descriptor (B = 1) vector from a (P, Q) geometry matrix."""
+    """Build a descriptor vector from a (P, Q) geometry matrix."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise LayoutError("geometry matrix must be two-dimensional")
     p_count, q_count = m.shape
     return DescriptorVector(side_l=side_l, values=m.T.reshape(-1).copy(),
-                            p_count=p_count, q_count=q_count, b_count=1)
+                            p_count=p_count, q_count=q_count)
 
 
 def scenario_fingerprint(scenario) -> str:
@@ -148,17 +145,15 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
     """
     if d.p_count != grid.p_count or d.q_count != grid.q_count:
         raise LayoutError("descriptor cell counts do not match the grid")
-    if d.length != 1 + d.b_count * grid.p_count * grid.q_count:
-        raise LayoutError("descriptor length inconsistent with the grid")
     doc = {
         "meta": {
             "f_hz": f_hz,
             "L_m": grid.side_l,
             "delta_m": grid.pitch,
-            "B": d.b_count,
+            "B": 1,
             "scenario_hash": scenario_hash,
         },
-        "cells": [[d.g(p, q) for q in range(d.q_count)] for p in range(d.p_count)],
+        "cells": d.as_matrix().tolist(),
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -169,11 +164,12 @@ def import_layout(text: str):
         doc = json.loads(text)
         meta = doc["meta"]
         cells = np.asarray(doc["cells"], dtype=float)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise LayoutError(f"malformed layout document: {exc}") from exc
+        side_l = float(meta["L_m"])   # TypeError for a meta that is no object
+        b_count = int(meta.get("B", 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LayoutError(f"malformed layout document: {exc!r}") from exc
     if cells.ndim != 2:
         raise LayoutError("layout cells must form a matrix")
-    if int(meta.get("B", 1)) != 1:
+    if b_count != 1:
         raise LayoutError("only single-descriptor (B = 1) layouts are supported")
-    d = descriptor_from_matrix(float(meta["L_m"]), cells)
-    return d, meta
+    return descriptor_from_matrix(side_l, cells), meta

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
-from .errors import FresnelValidityWarning, SkinlinkError
+from .errors import ConfigError, FresnelValidityWarning, SkinlinkError
 from .field_engine import FieldCut, field_cut_map
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario
@@ -74,21 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(spec: str, variable: str) -> list[float]:
-    spec = spec.strip()
-    if not spec:
-        raise SkinlinkError("empty sweep values")
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise SkinlinkError("range values must look like start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise SkinlinkError("range count must be at least 1")
-        values = list(np.linspace(start, stop, count))
-    else:
-        values = [float(v) for v in spec.split(",") if v.strip()]
+    try:
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            values = list(np.linspace(float(start), float(stop), int(count)))
+        else:
+            values = [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep values {spec!r}, expected a comma list or "
+                          f"start:stop:count ({exc})") from exc
     if not values:
-        raise SkinlinkError("empty sweep values")
+        raise ConfigError("empty sweep values")
     if variable == "theta0":
         values = [math.radians(v) for v in values]
     return values

@@ -25,7 +25,8 @@ from .aperture import (ApertureGrid, DescriptorVector, descriptor_from_matrix,
 from .constants import ETA0
 from .errors import ConfigError, DomainError, LayoutError
 from .field_engine import (ObservationPoint, SurfaceCurrents, beta,
-                           received_power, scattered_field, sinc)
+                           bracket_weights, received_power, scattered_field,
+                           sinc)
 from .scenario import LinkScenario, incident_fields, transmitter_ray
 
 _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
@@ -379,13 +380,11 @@ def ems_received_power_matched(currents: SurfaceCurrents,
     this drops the cell area, cell count and element factors; for uniform
     matched currents the two differ exactly by P*Q*pitch^4*sinc_x^2*sinc_y^2.
     """
-    theta, phi = scenario.theta0, scenario.phi_rx
-    ct = math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    ax, ay = np.abs(currents.je_x), np.abs(currents.je_y)
-    mx, my = np.abs(currents.jm_x), np.abs(currents.jm_y)
-    bth = ETA0 * ct * cp * ax + ETA0 * ct * sp * ay - sp * mx + cp * my
-    bph = -ETA0 * sp * ax + ETA0 * cp * ay + ct * cp * mx + ct * sp * my
+    w_theta, w_phi = bracket_weights(scenario.theta0, scenario.phi_rx, ETA0)
+    mags = [np.abs(c) for c in (currents.je_x, currents.je_y,
+                                currents.jm_x, currents.jm_y)]
+    bth = sum(w * m for w, m in zip(w_theta, mags))
+    bph = sum(w * m for w, m in zip(w_phi, mags))
     total = float(np.sum(bth * bth + bph * bph))
     return scenario.g_rx * total / (32.0 * math.pi * ETA0 * scenario.r_rx**2)
 

@@ -4,6 +4,10 @@ Evaluates the scattered field of piecewise-constant electric/magnetic surface
 currents on the panel lattice, the received power, the Fresnel validity bound,
 field-cut maps around the receiver, and a sub-patch quadrature oracle used to
 cross-check the closed-form cell sum.
+
+One kernel, _cell_sum, evaluates the cell sum at a batch of points; both
+scattered_field (one point) and scattered_field_at_points (chunks) call it.
+The oracle keeps its own transcription so that it stays an independent check.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .constants import ETA0
 from .errors import (ConfigError, DomainError, FresnelValidityError,
                      FresnelValidityWarning, GeometryError)
 
-_COMPENSATED_THRESHOLD = 100_000   # cells; above this use block-compensated sums
 _POINT_CHUNK = 256                 # observation points per vectorized chunk
 
 
@@ -84,6 +87,17 @@ def sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
+def _path_term(x, y, r, s, c, sp, cp):
+    """Fresnel path-length term [m] of in-plane points (x, y) toward a direction.
+
+    r is the observation distance, (s, c) = (sin, cos) of its polar angle and
+    (sp, cp) = (sin, cos) of its azimuth; all arguments broadcast.
+    """
+    return (x * s * cp + y * s * sp
+            - c * c * (x * x + y * y) / (2.0 * r)
+            - (x * s * sp - y * s * cp) ** 2 / (2.0 * r))
+
+
 def beta(cell, obs: ObservationPoint):
     """Fresnel path-length term [m] of a cell barycenter toward an observation point.
 
@@ -91,11 +105,8 @@ def beta(cell, obs: ObservationPoint):
     """
     x = np.asarray(cell[0], dtype=float)
     y = np.asarray(cell[1], dtype=float)
-    s, c = math.sin(obs.theta), math.cos(obs.theta)
-    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
-    return (x * s * cp + y * s * sp
-            - c * c * (x * x + y * y) / (2.0 * obs.r)
-            - (x * s * sp - y * s * cp) ** 2 / (2.0 * obs.r))
+    return _path_term(x, y, obs.r, math.sin(obs.theta), math.cos(obs.theta),
+                      math.sin(obs.phi), math.cos(obs.phi))
 
 
 def fresnel_min_distance(side_l: float, wavelength: float) -> float:
@@ -125,35 +136,48 @@ def check_fresnel(side_l: float, wavelength: float, r: float, mode: str = "warn"
     return ok
 
 
-def _ordered_sum(values_pq: np.ndarray) -> complex:
-    """Sum cell contributions in (q outer, p inner) order.
+def bracket_weights(theta, phi, eta: float):
+    """Weights of (je_x, je_y, jm_x, jm_y) in the theta-hat and phi-hat brackets.
 
-    Uses numpy pairwise summation for small grids and block-compensated
-    (Kahan) accumulation above _COMPENSATED_THRESHOLD cells so large panels
-    sum reproducibly.
+    theta and phi are scalars or arrays of shape S; each returned array has
+    shape S + (4,), so a bracket is the dot product of a weight row with the
+    four current coefficients.
     """
-    seq = values_pq.T.reshape(-1)
-    if seq.size <= _COMPENSATED_THRESHOLD:
-        return complex(seq.sum())
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for start in range(0, seq.size, 65536):
-        y = complex(seq[start:start + 65536].sum()) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _brackets(currents: SurfaceCurrents, theta, phi, eta: float):
-    """Theta-hat and phi-hat current combinations of the radiation sum."""
     ct = np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    bth = (eta * ct * cp * currents.je_x + eta * ct * sp * currents.je_y
-           - sp * currents.jm_x + cp * currents.jm_y)
-    bph = (-eta * sp * currents.je_x + eta * cp * currents.je_y
-           + ct * cp * currents.jm_x + ct * sp * currents.jm_y)
-    return bth, bph
+    w_theta = np.stack([eta * ct * cp, eta * ct * sp, -sp, cp], axis=-1)
+    w_phi = np.stack([-eta * sp, eta * cp, ct * cp, ct * sp], axis=-1)
+    return w_theta, w_phi
+
+
+def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float,
+              eta: float):
+    """The radiation sum at N points given by (r, theta, phi) arrays of shape (N,).
+
+    Builds the (N, M) phasor block exp(j k beta) over the M cells and reduces
+    it against each current column with numpy's pairwise sum, one column at a
+    time: a BLAS product would spin up its threads on every one-point call.
+    The (N, 4) column sums are projected onto each point's theta-hat/phi-hat
+    bracket weights under the prefactor with the per-cell sinc element
+    factors. Returns (e_theta, e_phi), each of shape (N,).
+    """
+    grid = currents.grid
+    X, Y = grid.cell_grid()
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    k = 2.0 * math.pi / wavelength
+    b = _path_term(X.reshape(-1), Y.reshape(-1), r[:, None], st[:, None],
+                   ct[:, None], sp[:, None], cp[:, None])
+    phase = np.exp(1j * k * b)
+    sums = np.stack([(phase * col.reshape(-1)).sum(axis=1)
+                     for col in (currents.je_x, currents.je_y,
+                                 currents.jm_x, currents.jm_y)], axis=1)
+    w_theta, w_phi = bracket_weights(theta, phi, eta)
+    pre = (-1j * np.exp(-1j * k * r) / (2.0 * wavelength * r)
+           * grid.pitch**2
+           * sinc(math.pi * grid.pitch * st * cp / wavelength)
+           * sinc(math.pi * grid.pitch * st * sp / wavelength))
+    return pre * (sums * w_theta).sum(axis=1), pre * (sums * w_phi).sum(axis=1)
 
 
 def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
@@ -165,20 +189,10 @@ def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
     current brackets, under a common prefactor with the per-cell sinc element
     factors. fresnel selects the validity check mode: warn, strict or off.
     """
-    grid = currents.grid
-    check_fresnel(grid.side_l, wavelength, obs.r, fresnel)
-    X, Y = grid.cell_grid()
-    k = 2.0 * math.pi / wavelength
-    s = math.sin(obs.theta)
-    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
-    pre = (-1j * np.exp(-1j * k * obs.r) / (2.0 * wavelength * obs.r)
-           * grid.pitch**2
-           * sinc(math.pi * grid.pitch * s * cp / wavelength)
-           * sinc(math.pi * grid.pitch * s * sp / wavelength))
-    phase = np.exp(1j * (2.0 * math.pi / wavelength) * beta((X, Y), obs))
-    bth, bph = _brackets(currents, obs.theta, obs.phi, eta)
-    return ScatteredField(e_theta=pre * _ordered_sum(phase * bth),
-                          e_phi=pre * _ordered_sum(phase * bph))
+    check_fresnel(currents.grid.side_l, wavelength, obs.r, fresnel)
+    e_theta, e_phi = _cell_sum(currents, np.array([obs.r]), np.array([obs.theta]),
+                               np.array([obs.phi]), wavelength, eta)
+    return ScatteredField(e_theta=complex(e_theta[0]), e_phi=complex(e_phi[0]))
 
 
 def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
@@ -187,47 +201,22 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
 
     Returns (e_theta, e_phi) arrays of shape (N,). Points must lie in the
     reflection half-space z > 0. No Fresnel check is applied here; callers
-    sampling maps validate their cut definition instead.
+    sampling maps validate their cut definition instead. Points are summed
+    _POINT_CHUNK at a time to bound the phasor block's memory.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if np.any(pts[:, 2] <= 0.0):
         raise GeometryError("observation points must lie in the half-space z > 0")
-    grid = currents.grid
-    X, Y = grid.cell_grid()
-    xs = X.T.reshape(-1)       # (q outer, p inner) cell order
-    ys = Y.T.reshape(-1)
-    je_x = currents.je_x.T.reshape(-1)
-    je_y = currents.je_y.T.reshape(-1)
-    jm_x = currents.jm_x.T.reshape(-1)
-    jm_y = currents.jm_y.T.reshape(-1)
-    k = 2.0 * math.pi / wavelength
-
     r = np.linalg.norm(pts, axis=1)
-    ct = pts[:, 2] / r
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    ph = np.arctan2(pts[:, 1], pts[:, 0])
-    sp, cp = np.sin(ph), np.cos(ph)
+    theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
 
     e_theta = np.empty(pts.shape[0], dtype=complex)
     e_phi = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], _POINT_CHUNK):
-        sl = slice(start, min(start + _POINT_CHUNK, pts.shape[0]))
-        rr, cc, ss = r[sl, None], ct[sl, None], st[sl, None]
-        spp, cpp = sp[sl, None], cp[sl, None]
-        b = (xs[None, :] * ss * cpp + ys[None, :] * ss * spp
-             - cc * cc * (xs[None, :]**2 + ys[None, :]**2) / (2.0 * rr)
-             - (xs[None, :] * ss * spp - ys[None, :] * ss * cpp) ** 2 / (2.0 * rr))
-        phase = np.exp(1j * (2.0 * math.pi / wavelength) * b)
-        bth = (eta * cc * cpp * je_x[None, :] + eta * cc * spp * je_y[None, :]
-               - spp * jm_x[None, :] + cpp * jm_y[None, :])
-        bph = (-eta * spp * je_x[None, :] + eta * cpp * je_y[None, :]
-               + cc * cpp * jm_x[None, :] + cc * spp * jm_y[None, :])
-        pre = (-1j * np.exp(-1j * k * rr[:, 0]) / (2.0 * wavelength * rr[:, 0])
-               * grid.pitch**2
-               * sinc(math.pi * grid.pitch * ss[:, 0] * cpp[:, 0] / wavelength)
-               * sinc(math.pi * grid.pitch * ss[:, 0] * spp[:, 0] / wavelength))
-        e_theta[sl] = pre * (phase * bth).sum(axis=1)
-        e_phi[sl] = pre * (phase * bph).sum(axis=1)
+        sl = slice(start, start + _POINT_CHUNK)
+        e_theta[sl], e_phi[sl] = _cell_sum(currents, r[sl], theta[sl], phi[sl],
+                                           wavelength, eta)
     return e_theta, e_phi
 
 

@@ -53,6 +53,10 @@ class LinkScenario:
     polarization: str = field(init=False, default="y")
 
     def __post_init__(self):
+        for name in ("f", "p_tx", "g_tx", "g_rx", "r_tx", "r_rx", "theta0", "delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.f <= 0:
             raise DomainError("carrier frequency must be positive")
         if self.p_tx <= 0 or self.g_tx <= 0 or self.g_rx <= 0:

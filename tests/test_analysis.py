@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import skinlink as sk
+from skinlink import analysis
 
 from conftest import make_scenario
 
@@ -120,9 +121,30 @@ def test_sweep_validation(baseline, table):
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "side_l", [-0.1, 0.5], table)
     with pytest.raises(sk.DomainError):
+        sk.sweep(baseline, "side_l", [0.2, math.nan], table)
+    with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "r_rx", [20.0], table)          # missing side
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "frequency", [1.0], table, side_l=0.5)
+
+
+def test_sweep_propagates_programming_errors(baseline, table, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(analysis, "evaluate_point", broken)
+    with pytest.raises(RuntimeError):
+        sk.sweep(baseline, "side_l", [0.2, 0.3], table, workers=1)
+
+
+def test_sweep_records_library_error_type(baseline, table, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise sk.GeometryError("degenerate panel")
+
+    monkeypatch.setattr(analysis, "evaluate_point", degenerate)
+    rows = sk.sweep(baseline, "side_l", [0.2], table, workers=1)
+    assert rows[0].error == "GeometryError: degenerate panel"
+    assert math.isnan(rows[0].a_ems)
 
 
 def test_rho_sweep_splits_the_link(baseline, table):

@@ -1,5 +1,7 @@
 """Grid discretization, descriptor indexing and layout serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,24 +55,22 @@ def test_grid_symmetry():
 
 
 def test_descriptor_index_bijection():
-    d = sk.DescriptorVector(side_l=0.1, values=np.zeros(3 * 3 * 2),
-                            p_count=3, q_count=3, b_count=2)
-    assert d.length == 1 + 2 * 9
+    d = sk.DescriptorVector(side_l=0.1, values=np.zeros(3 * 3), p_count=3, q_count=3)
+    assert d.length == 1 + 9
     seen = set()
     for q in range(3):
         for p in range(3):
-            for b in range(2):
-                s = d.flat_index(b, p, q)
-                assert 1 <= s < d.length
-                assert d.unflatten_index(s) == (b, p, q)
-                seen.add(s)
+            s = d.flat_index(p, q)
+            assert 1 <= s < d.length
+            assert d.unflatten_index(s) == (p, q)
+            seen.add(s)
     assert seen == set(range(1, d.length))
 
 
 def test_descriptor_bad_index():
     d = sk.DescriptorVector(side_l=0.1, values=np.zeros(4), p_count=2, q_count=2)
     with pytest.raises(sk.LayoutError):
-        d.flat_index(0, 2, 0)
+        d.flat_index(2, 0)
     with pytest.raises(sk.LayoutError):
         d.unflatten_index(0)
 
@@ -115,6 +115,17 @@ def test_layout_size_mismatch():
         sk.export_layout(d, grid, f_hz=27e9)
     with pytest.raises(sk.LayoutError):
         sk.import_layout("{\"meta\": {}}")
+
+
+@pytest.mark.parametrize("meta", [
+    {"f_hz": 27e9, "delta_m": 5.556e-3, "B": 1},                 # no L_m
+    [0.05],                                                       # not an object
+    {"f_hz": 27e9, "L_m": 0.05, "delta_m": 5.556e-3, "B": 2},    # two descriptors
+])
+def test_import_layout_rejects_bad_meta(meta):
+    doc = {"meta": meta, "cells": [[1e-3] * 9] * 9}
+    with pytest.raises(sk.LayoutError):
+        sk.import_layout(json.dumps(doc))
 
 
 def ring_count(matrix, g_lo, g_hi):

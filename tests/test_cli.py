@@ -153,6 +153,24 @@ def test_sweep_empty_values_exit(scenario_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["abc", "0.1:1.0:x", "0.1:y:3", "0.2,nan"])
+def test_sweep_malformed_values_exit(scenario_file, tmp_path, capsys, values):
+    code = main(["sweep", "--scenario", scenario_file, "--values", values,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_thresholds_non_finite_config_exit(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(BASE_CONFIG.replace("f_hz = 27e9", "f_hz = nan"))
+    code = main(["thresholds", "--scenario", str(cfg), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" in captured.err
+    assert "L_TH" not in captured.out
+
+
 def test_sweep_bad_variable_exit(scenario_file, tmp_path):
     code = main(["sweep", "--scenario", scenario_file, "--variable", "frequency",
                  "--values", "1,2", "--out", str(tmp_path / "o")])

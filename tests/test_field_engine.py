@@ -278,3 +278,52 @@ def test_longitudinal_cut_runs(baseline, panel08):
     cut_map = sk.field_cut_map(currents, cut, baseline, fresnel="off")
     assert cut_map.e_total_abs.shape == (11, 11)
     assert np.all(np.isfinite(cut_map.e_total_abs))
+
+
+def test_batch_points_match_single_point_sums(baseline, panel08):
+    panel, _ = panel08
+    currents = sk.gstc_currents(panel, baseline)
+    rng = np.random.default_rng(7)
+    # more than one point chunk, on and off the focus
+    pts = baseline.rx_position + rng.uniform(-2.0, 2.0, size=(300, 3))
+    e_theta, e_phi = sk.scattered_field_at_points(currents, pts, LAMBDA)
+    # the same spherical coordinates the batch derives from each point, so
+    # both paths sum identical phasors
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    for i in range(pts.shape[0]):
+        obs = sk.ObservationPoint(r=float(r[i]), theta=float(theta[i]), phi=float(phi[i]))
+        single = sk.scattered_field(currents, obs, LAMBDA, fresnel="off")
+        scale = math.hypot(abs(single.e_theta), abs(single.e_phi))
+        assert abs(e_theta[i] - single.e_theta) <= 1e-12 * scale
+        assert abs(e_phi[i] - single.e_phi) <= 1e-12 * scale
+
+
+def test_large_panel_single_point_matches_exact_sum(table):
+    # 2.0 m at 27 GHz: 129,600 cells, the size where a compensated sum once ran
+    scenario = make_scenario(r_tx=40.0, r_rx=40.0)
+    panel, _ = sk.design_panel(scenario, 2.0, table)
+    assert panel.grid.cell_count == 129_600
+    currents = sk.gstc_currents(panel, scenario)
+    obs = sk.ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
+    field = sk.scattered_field(currents, obs, LAMBDA, fresnel="off")
+
+    X, Y = panel.grid.cell_grid()
+    k = 2.0 * math.pi / LAMBDA
+    s, ct = math.sin(obs.theta), math.cos(obs.theta)
+    phase = np.exp(1j * k * (X * s - ct * ct * (X * X + Y * Y) / (2.0 * obs.r)
+                             - (Y * s) ** 2 / (2.0 * obs.r)))
+    pre = (-1j * np.exp(-1j * k * obs.r) / (2.0 * LAMBDA * obs.r) * panel.grid.pitch**2
+           * sk.sinc(math.pi * panel.grid.pitch * s / LAMBDA))
+
+    def fsum(terms):
+        flat = terms.reshape(-1)
+        return complex(math.fsum(flat.real), math.fsum(flat.imag))
+
+    # at phi = 0 the theta-hat bracket is eta*cos(theta)*je_x + jm_y and the
+    # phi-hat bracket is eta*je_y + cos(theta)*jm_x
+    e_theta = pre * fsum(phase * (sk.ETA0 * ct * currents.je_x + currents.jm_y))
+    e_phi = pre * fsum(phase * (sk.ETA0 * currents.je_y + ct * currents.jm_x))
+    assert abs(field.e_theta - e_theta) <= 1e-12 * abs(e_theta)
+    assert abs(field.e_phi - e_phi) <= 1e-12 * abs(e_phi)

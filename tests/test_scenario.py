@@ -52,6 +52,17 @@ def test_scenario_validation():
         make_scenario(p_tx=-1.0)
 
 
+@pytest.mark.parametrize("field", ["f", "p_tx", "g_tx", "g_rx", "r_tx", "r_rx",
+                                   "theta0", "delta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite(field, bad):
+    kwargs = dict(f=27e9, p_tx=0.1, g_tx=10.0, g_rx=10.0, r_tx=15.0, r_rx=15.0,
+                  theta0=0.5, delta=None)
+    kwargs[field] = bad
+    with pytest.raises(sk.DomainError, match=field):
+        sk.LinkScenario(**kwargs)
+
+
 def test_frame_convention(baseline):
     s, c = math.sin(baseline.theta0), math.cos(baseline.theta0)
     np.testing.assert_allclose(baseline.tx_position, [-15.0 * s, 0.0, 15.0 * c],

@@ -26,8 +26,8 @@ from .errors import (ConfigError, DomainError, FresnelValidityError,
 from .field_engine import (CutMap, FieldCut, ObservationPoint, ScatteredField,
                            SurfaceCurrents, beta, check_fresnel, field_cut_map,
                            fresnel_min_distance, quadrature_oracle, received_power,
-                           receiver_frame, scattered_field, scattered_field_at_points,
-                           sinc)
+                           receiver_frame, receiver_tpa, scattered_field,
+                           scattered_field_at_points, sinc)
 from .pcs import PcsPanel, pcs_asymptotic_tpa, pcs_currents, pcs_tpa
 from .scenario import (FieldSample, LinkScenario, db, incident_field,
                        incident_fields, load_scenario, parse_scenario, wavelength)

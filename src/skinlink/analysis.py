@@ -18,6 +18,7 @@ from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, db
 
 SWEEP_VARIABLES = ("side_l", "r_rx", "theta0", "rho")
+_MARKER_TOL = 1e-3      # panel-side tolerance [m] of the marker bisection
 
 
 def l_threshold(scenario: LinkScenario) -> float:
@@ -116,13 +117,11 @@ def _scenario_for(scenario: LinkScenario, variable: str, value: float) -> LinkSc
 
 def evaluate_point(scenario: LinkScenario, side_l: float,
                    table: ReflectionLookupTable, centered: bool = False,
-                   quadrature: str = "midpoint",
                    fresnel: str = "off") -> tuple[float, float, float, float]:
     """(a_pcs, a_ems, a_opt, a_inf) for one geometry, with a fresh synthesis."""
     panel, _ = design_panel(scenario, side_l, table, centered=centered)
-    a_ems = ems_tpa(scenario, panel, quadrature=quadrature, fresnel=fresnel)
-    a_pcs = pcs_tpa(scenario, side_l, centered=centered, quadrature=quadrature,
-                    fresnel=fresnel)
+    a_ems = ems_tpa(scenario, panel, fresnel=fresnel)
+    a_pcs = pcs_tpa(scenario, side_l, centered=centered, fresnel=fresnel)
     return (a_pcs, a_ems,
             ems_upper_bound_tpa(scenario, panel.grid.side_l),
             pcs_asymptotic_tpa(scenario))
@@ -142,7 +141,7 @@ def worker_count(n_tasks: int) -> int:
 
 def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookupTable,
           side_l: float | None = None, centered: bool = False,
-          quadrature: str = "midpoint", workers: int | None = None) -> list[TpaSweepRow]:
+          workers: int | None = None) -> list[TpaSweepRow]:
     """Evaluate all four attenuation figures across the swept values.
 
     The skin is re-synthesized (phase conjugation for the updated geometry) at
@@ -171,7 +170,7 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", FresnelValidityWarning)
                 a_pcs, a_ems, a_opt, a_inf = evaluate_point(
-                    point_scenario, length, table, centered, quadrature)
+                    point_scenario, length, table, centered)
             ok = point_scenario.r_rx >= fresnel_min_distance(
                 length, point_scenario.wavelength)
             return TpaSweepRow(variable=variable, value=value, a_pcs=a_pcs,
@@ -210,8 +209,8 @@ class MarkerSet:
         return self.l_pcs_ems is not None
 
 
-def _bisect_crossing(fn, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    while hi - lo > tol:
+def _bisect_crossing(fn, lo: float, hi: float, f_lo: float) -> float:
+    while hi - lo > _MARKER_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -222,12 +221,11 @@ def _bisect_crossing(fn, lo: float, hi: float, f_lo: float, tol: float) -> float
 
 
 def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
-            table: ReflectionLookupTable, tol: float = 1e-3,
-            centered: bool = False, quadrature: str = "midpoint") -> MarkerSet:
+            table: ReflectionLookupTable, centered: bool = False) -> MarkerSet:
     """Locate the crossing markers of a side_l sweep by bisection.
 
     Each bisection probe re-synthesizes the skin at the probed side. The
-    smallest bracketed upward crossing is refined to the given side tolerance.
+    smallest bracketed upward crossing is refined to a side tolerance of 1 mm.
     A missing bracket yields an absent marker, not an error.
     """
     usable = [r for r in rows if r.error is None and r.variable == "side_l"]
@@ -240,8 +238,7 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
         if length not in cache:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", FresnelValidityWarning)
-                cache[length] = evaluate_point(scenario, length, table,
-                                               centered, quadrature)
+                cache[length] = evaluate_point(scenario, length, table, centered)
         return cache[length]
 
     for row in usable:
@@ -252,7 +249,7 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
             f_lo, f_hi = diff(point(left.value)), diff(point(right.value))
             if f_lo < 0.0 < f_hi:
                 return _bisect_crossing(lambda L: diff(point(L)),
-                                        left.value, right.value, f_lo, tol)
+                                        left.value, right.value, f_lo)
         return None
 
     return MarkerSet(

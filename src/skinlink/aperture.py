@@ -168,6 +168,8 @@ def import_layout(text: str):
         b_count = int(meta.get("B", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise LayoutError(f"malformed layout document: {exc!r}") from exc
+    if not (math.isfinite(side_l) and side_l > 0):
+        raise LayoutError(f"layout side L_m must be finite and positive, got {side_l!r}")
     if cells.ndim != 2:
         raise LayoutError("layout cells must form a matrix")
     if b_count != 1:

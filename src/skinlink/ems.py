@@ -3,12 +3,11 @@ sheet-transition currents, realized and bound path attenuation.
 
 Cells are parametrized by a diagonal reflection tensor (gamma_xx, gamma_yy).
 The per-cell currents follow from the averaged tangential fields: the incident
-field envelope is averaged over the cell at the barycenter carrier phase,
-weighted by (1 +/- gamma) brackets, and turned into equivalent currents
-J_e = 2 n x H_av, J_m = 2 n x E_av. The reflection tensor pairs
-cross-polarized with H (gamma_yy weights E_y and H_x), so a gamma = -1 sheet
-degenerates exactly to the conducting-screen current model and gamma = +1 to
-the magnetic-wall limit.
+field at the cell barycenter, weighted by (1 +/- gamma) brackets, and turned
+into equivalent currents J_e = 2 n x H_av, J_m = 2 n x E_av. The reflection
+tensor pairs cross-polarized with H (gamma_yy weights E_y and H_x), so a
+gamma = -1 sheet degenerates exactly to the conducting-screen current model
+and gamma = +1 to the magnetic-wall limit.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ from .aperture import (ApertureGrid, DescriptorVector, descriptor_from_matrix,
 from .constants import ETA0
 from .errors import ConfigError, DomainError, LayoutError
 from .field_engine import (ObservationPoint, SurfaceCurrents, beta,
-                           bracket_weights, received_power, scattered_field,
-                           sinc)
-from .scenario import LinkScenario, incident_fields, transmitter_ray
+                           bracket_weights, receiver_tpa, sinc)
+from .scenario import LinkScenario, incident_fields
 
 _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
 _SCURVE_SWING = 0.4            # S-curve slope modulation of the synthetic table
+_SYNTHESIS_RESOLUTION = 1e-6   # geometry step [m] of the synthesis candidate grid
 
 
 def wrap_phase(x):
@@ -196,49 +195,29 @@ class EmsPanel:
     def __post_init__(self):
         if (self.d.p_count, self.d.q_count) != (self.grid.p_count, self.grid.q_count):
             raise LayoutError("descriptor cell counts do not match the grid")
-        if abs(self.d.side_l - self.grid.side_l) > 1e-12:
+        if not abs(self.d.side_l - self.grid.side_l) <= 1e-12:  # NaN fails too
             raise LayoutError("descriptor side does not match the grid side")
         lo, hi = self.table.g_range
         if np.any(self.d.values < lo - 1e-12) or np.any(self.d.values > hi + 1e-12):
             raise LayoutError("descriptor geometry outside the table range")
 
 
-def average_incident_fields(grid: ApertureGrid, scenario: LinkScenario,
-                            quadrature: str = "midpoint"):
-    """Per-cell incident E and H at the barycenter carrier phase, shape (3, P, Q).
+def average_incident_fields(grid: ApertureGrid, scenario: LinkScenario):
+    """Per-cell incident E and H at the cell barycenters, shape (3, P, Q).
 
     The radiation sum treats each cell as a patch of uniform-phase current and
     carries the phase variation inside the cell through its sinc element
     factor. What a cell needs from the incident field is therefore its
-    envelope, referred to the carrier phase exp(-j k d) at the barycenter.
-    midpoint evaluates the field at the barycenter. gauss2 averages the
-    envelope over a 2x2 Gauss-Legendre rule: each node's field is de-rotated
-    by exp(+j k (d_node - d_center)), d being the transmitter distance, before
-    the average. Averaging the raw field instead would scale the currents by
-    the average of the intra-cell phase ramp and count that phase twice.
+    envelope at the barycenter carrier phase, which the barycenter sample
+    gives. Averaging the raw field over the cell instead would scale the
+    currents by the average of the intra-cell phase ramp and count that phase
+    twice.
     """
-    X, Y = grid.cell_grid()
-    if quadrature == "midpoint":
-        return incident_fields(scenario, X, Y)
-    if quadrature == "gauss2":
-        k = 2.0 * math.pi / scenario.wavelength
-        d_center = transmitter_ray(scenario, X, Y)[3]
-        off = grid.pitch / (2.0 * math.sqrt(3.0))
-        e_acc = h_acc = 0.0
-        for dx in (-off, off):
-            for dy in (-off, off):
-                e, h = incident_fields(scenario, X + dx, Y + dy)
-                d_node = transmitter_ray(scenario, X + dx, Y + dy)[3]
-                derotate = np.exp(1j * k * (d_node - d_center))
-                e_acc = e_acc + e * derotate
-                h_acc = h_acc + h * derotate
-        return e_acc / 4.0, h_acc / 4.0
-    raise ConfigError(f"unknown quadrature {quadrature!r}")
+    return incident_fields(scenario, *grid.cell_grid())
 
 
 def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
-                        gamma_xx, gamma_yy,
-                        quadrature: str = "midpoint") -> SurfaceCurrents:
+                        gamma_xx, gamma_yy) -> SurfaceCurrents:
     """Equivalent surface currents of cells with the given reflection tensor.
 
     This is the single point where the reflection tensor is mapped to currents
@@ -246,12 +225,12 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     brackets, so the gamma = -1 pole is removable): averaged tangential fields
     E_av = (1 + gamma)/2 * E_inc and H_av = (1 - gamma)/2 * H_inc with the
     cross-polarized pairing, then J_e = 2 n x H_av and J_m = 2 n x E_av.
-    E_inc and H_inc come from average_incident_fields: the cell's field
-    envelope at its barycenter carrier phase, since the radiation sum's sinc
-    element factor already carries the phase ramp inside the cell.
+    E_inc and H_inc are the incident field at each cell barycenter
+    (average_incident_fields), since the radiation sum's sinc element factor
+    already carries the phase ramp inside the cell.
     gamma_xx/gamma_yy broadcast against the (P, Q) cell lattice.
     """
-    e_inc, h_inc = average_incident_fields(grid, scenario, quadrature)
+    e_inc, h_inc = average_incident_fields(grid, scenario)
     gxx = np.broadcast_to(np.asarray(gamma_xx), e_inc.shape[1:])
     gyy = np.broadcast_to(np.asarray(gamma_yy), e_inc.shape[1:])
     e_av_x = 0.5 * (1.0 + gxx) * e_inc[0]
@@ -271,10 +250,10 @@ def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> TargetPh
 
 
 def predicted_phase(table: ReflectionLookupTable, g_values, scenario: LinkScenario,
-                    grid: ApertureGrid, quadrature: str = "midpoint") -> np.ndarray:
+                    grid: ApertureGrid) -> np.ndarray:
     """Phase of the dominant (y-polarized electric) cell current for given geometry."""
     _, gyy = table.gamma_at(g_values)
-    _, h_inc = average_incident_fields(grid, scenario, quadrature)
+    _, h_inc = average_incident_fields(grid, scenario)
     return np.angle((1.0 - gyy) * h_inc[0])
 
 
@@ -317,17 +296,16 @@ def _nearest_candidate(cand: np.ndarray, need: np.ndarray):
 
 
 def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
-                      targets: TargetPhases, scenario: LinkScenario,
-                      resolution: float = 1e-6) -> DescriptorVector:
+                      targets: TargetPhases, scenario: LinkScenario) -> DescriptorVector:
     """Pick each cell's geometry to best match its target current phase.
 
     The mismatch functional separates cell by cell, so the exact minimizer is
-    a per-cell nearest-phase lookup over the table interpolated at the given
+    a per-cell nearest-phase lookup over the table interpolated at a 1 um
     geometry resolution. Matching targets the y-polarized electric current.
     """
     if targets.values.shape != (grid.p_count, grid.q_count):
         raise LayoutError("target phases do not match the grid")
-    g_fine, gyy_fine = table.dense_grid(resolution)
+    g_fine, gyy_fine = table.dense_grid(_SYNTHESIS_RESOLUTION)
     cand = np.angle(1.0 - gyy_fine)
     _, h_inc = average_incident_fields(grid, scenario)
     need = wrap_phase(targets.values - np.angle(h_inc[0]))
@@ -345,30 +323,23 @@ def synthesis_mismatch(grid: ApertureGrid, table: ReflectionLookupTable,
 
 
 def design_panel(scenario: LinkScenario, side_l: float,
-                 table: ReflectionLookupTable, pitch: float | None = None,
-                 centered: bool = False):
+                 table: ReflectionLookupTable, centered: bool = False):
     """Discretize, target and synthesize a skin; returns (EmsPanel, TargetPhases)."""
-    grid = discretize(side_l, pitch if pitch is not None else scenario.pitch,
-                      centered=centered)
+    grid = discretize(side_l, scenario.pitch, centered=centered)
     targets = ideal_current_phases(grid, scenario)
     d = synthesize_layout(grid, table, targets, scenario)
     return EmsPanel(grid=grid, d=d, table=table), targets
 
 
-def gstc_currents(panel: EmsPanel, scenario: LinkScenario,
-                  quadrature: str = "midpoint") -> SurfaceCurrents:
+def gstc_currents(panel: EmsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     """Surface currents of a synthesized panel under the scenario's illumination."""
     gxx, gyy = panel.table.gamma_at(panel.d.as_matrix())
-    return reflection_currents(panel.grid, scenario, gxx, gyy, quadrature)
+    return reflection_currents(panel.grid, scenario, gxx, gyy)
 
 
-def ems_tpa(scenario: LinkScenario, panel: EmsPanel,
-            quadrature: str = "midpoint", fresnel: str = "warn") -> float:
+def ems_tpa(scenario: LinkScenario, panel: EmsPanel, fresnel: str = "warn") -> float:
     """Realized skin path attenuation P_rx/P_tx at the specular receiver."""
-    currents = gstc_currents(panel, scenario, quadrature)
-    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=scenario.phi_rx)
-    field = scattered_field(currents, obs, scenario.wavelength, fresnel=fresnel)
-    return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
+    return receiver_tpa(gstc_currents(panel, scenario), scenario, fresnel=fresnel)
 
 
 def ems_received_power_matched(currents: SurfaceCurrents,
@@ -380,7 +351,7 @@ def ems_received_power_matched(currents: SurfaceCurrents,
     this drops the cell area, cell count and element factors; for uniform
     matched currents the two differ exactly by P*Q*pitch^4*sinc_x^2*sinc_y^2.
     """
-    w_theta, w_phi = bracket_weights(scenario.theta0, scenario.phi_rx, ETA0)
+    w_theta, w_phi = bracket_weights(scenario.theta0, scenario.phi_rx)
     mags = [np.abs(c) for c in (currents.je_x, currents.je_y,
                                 currents.jm_x, currents.jm_y)]
     bth = sum(w * m for w, m in zip(w_theta, mags))

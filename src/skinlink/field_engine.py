@@ -136,7 +136,7 @@ def check_fresnel(side_l: float, wavelength: float, r: float, mode: str = "warn"
     return ok
 
 
-def bracket_weights(theta, phi, eta: float):
+def bracket_weights(theta, phi):
     """Weights of (je_x, je_y, jm_x, jm_y) in the theta-hat and phi-hat brackets.
 
     theta and phi are scalars or arrays of shape S; each returned array has
@@ -145,13 +145,12 @@ def bracket_weights(theta, phi, eta: float):
     """
     ct = np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    w_theta = np.stack([eta * ct * cp, eta * ct * sp, -sp, cp], axis=-1)
-    w_phi = np.stack([-eta * sp, eta * cp, ct * cp, ct * sp], axis=-1)
+    w_theta = np.stack([ETA0 * ct * cp, ETA0 * ct * sp, -sp, cp], axis=-1)
+    w_phi = np.stack([-ETA0 * sp, ETA0 * cp, ct * cp, ct * sp], axis=-1)
     return w_theta, w_phi
 
 
-def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float,
-              eta: float):
+def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     """The radiation sum at N points given by (r, theta, phi) arrays of shape (N,).
 
     Builds the (N, M) phasor block exp(j k beta) over the M cells and reduces
@@ -172,7 +171,7 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float,
     sums = np.stack([(phase * col.reshape(-1)).sum(axis=1)
                      for col in (currents.je_x, currents.je_y,
                                  currents.jm_x, currents.jm_y)], axis=1)
-    w_theta, w_phi = bracket_weights(theta, phi, eta)
+    w_theta, w_phi = bracket_weights(theta, phi)
     pre = (-1j * np.exp(-1j * k * r) / (2.0 * wavelength * r)
            * grid.pitch**2
            * sinc(math.pi * grid.pitch * st * cp / wavelength)
@@ -181,8 +180,7 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float,
 
 
 def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
-                    wavelength: float, eta: float = ETA0,
-                    fresnel: str = "warn") -> ScatteredField:
+                    wavelength: float, fresnel: str = "warn") -> ScatteredField:
     """Scattered field at one observation point from the closed-form cell sum.
 
     Each cell contributes a phasor exp(j*2*pi/lambda * beta_pq) times the
@@ -191,12 +189,12 @@ def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
     """
     check_fresnel(currents.grid.side_l, wavelength, obs.r, fresnel)
     e_theta, e_phi = _cell_sum(currents, np.array([obs.r]), np.array([obs.theta]),
-                               np.array([obs.phi]), wavelength, eta)
+                               np.array([obs.phi]), wavelength)
     return ScatteredField(e_theta=complex(e_theta[0]), e_phi=complex(e_phi[0]))
 
 
 def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
-                              wavelength: float, eta: float = ETA0):
+                              wavelength: float):
     """Vectorized scattered field at Cartesian points of shape (N, 3).
 
     Returns (e_theta, e_phi) arrays of shape (N,). Points must lie in the
@@ -216,21 +214,26 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
     for start in range(0, pts.shape[0], _POINT_CHUNK):
         sl = slice(start, start + _POINT_CHUNK)
         e_theta[sl], e_phi[sl] = _cell_sum(currents, r[sl], theta[sl], phi[sl],
-                                           wavelength, eta)
+                                           wavelength)
     return e_theta, e_phi
 
 
-def received_power(field: ScatteredField, g_rx: float, wavelength: float,
-                   eta: float = ETA0) -> float:
+def received_power(field: ScatteredField, g_rx: float, wavelength: float) -> float:
     """Power [W] collected by a matched receiver of gain g_rx from the field."""
     return (wavelength**2 * g_rx
             * (abs(field.e_theta) ** 2 + abs(field.e_phi) ** 2)
-            / (8.0 * math.pi * eta))
+            / (8.0 * math.pi * ETA0))
+
+
+def receiver_tpa(currents: SurfaceCurrents, scenario, fresnel: str = "warn") -> float:
+    """Path attenuation P_rx/P_tx of the currents at the scenario's specular receiver."""
+    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=scenario.phi_rx)
+    field = scattered_field(currents, obs, scenario.wavelength, fresnel=fresnel)
+    return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
 
 
 def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
-                      wavelength: float, eta: float = ETA0,
-                      subdivisions: int = 8) -> ScatteredField:
+                      wavelength: float, subdivisions: int = 8) -> ScatteredField:
     """Independent field evaluation by sub-patch summation.
 
     Each cell is split into subdivisions^2 sub-patches; every sub-patch
@@ -272,8 +275,8 @@ def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
     pre = (-1j / (2.0 * wavelength * R) * dsub**2 * np.exp(-1j * k * R)
            * sinc(math.pi * dsub * st * cp / wavelength)
            * sinc(math.pi * dsub * st * sp / wavelength))
-    bth = eta * ct * cp * je_x + eta * ct * sp * je_y - sp * jm_x + cp * jm_y
-    bph = -eta * sp * je_x + eta * cp * je_y + ct * cp * jm_x + ct * sp * jm_y
+    bth = ETA0 * ct * cp * je_x + ETA0 * ct * sp * je_y - sp * jm_x + cp * jm_y
+    bph = -ETA0 * sp * je_x + ETA0 * cp * je_y + ct * cp * jm_x + ct * sp * jm_y
 
     # local spherical unit vectors of each sub-patch direction, in Cartesian
     th_hat = np.stack([ct * cp, ct * sp, -st])

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from .aperture import ApertureGrid, discretize
 from .ems import reflection_currents
 from .errors import DomainError
-from .field_engine import (ObservationPoint, SurfaceCurrents, received_power,
-                           scattered_field)
+from .field_engine import SurfaceCurrents, receiver_tpa
 from .scenario import LinkScenario
 
 
@@ -21,25 +20,20 @@ class PcsPanel:
     grid: ApertureGrid
 
 
-def pcs_currents(panel: PcsPanel, scenario: LinkScenario,
-                 quadrature: str = "midpoint") -> SurfaceCurrents:
+def pcs_currents(panel: PcsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     """Physical-equivalent currents of a perfect conductor: J_e = 2 n x H_av,
     J_m = 0, realized as the gamma = -1 limit of the shared sheet kernel."""
-    return reflection_currents(panel.grid, scenario, -1.0, -1.0, quadrature)
+    return reflection_currents(panel.grid, scenario, -1.0, -1.0)
 
 
-def pcs_tpa(scenario: LinkScenario, side_l: float, pitch: float | None = None,
-            centered: bool = False, quadrature: str = "midpoint",
+def pcs_tpa(scenario: LinkScenario, side_l: float, centered: bool = False,
             fresnel: str = "warn") -> float:
     """Path attenuation P_rx/P_tx of a conducting screen of the given side."""
     if side_l <= 0:
         raise DomainError("panel side must be positive")
-    grid = discretize(side_l, pitch if pitch is not None else scenario.pitch,
-                      centered=centered)
-    currents = pcs_currents(PcsPanel(grid=grid), scenario, quadrature)
-    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=scenario.phi_rx)
-    field = scattered_field(currents, obs, scenario.wavelength, fresnel=fresnel)
-    return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
+    grid = discretize(side_l, scenario.pitch, centered=centered)
+    currents = pcs_currents(PcsPanel(grid=grid), scenario)
+    return receiver_tpa(currents, scenario, fresnel=fresnel)
 
 
 def pcs_asymptotic_tpa(scenario: LinkScenario) -> float:

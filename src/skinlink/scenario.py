@@ -96,25 +96,6 @@ class FieldSample:
     h: np.ndarray
 
 
-def transmitter_ray(scenario: LinkScenario, x, y):
-    """Offsets (px, py, pz) from the transmitter to panel points and their length d.
-
-    x, y are broadcastable arrays of in-plane coordinates [m] (z = 0); every
-    returned array has their broadcast shape. d is the path length that sets
-    the incident carrier phase exp(-j k d).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tx = scenario.tx_position
-    px = x - tx[0]
-    py = y - tx[1]
-    pz = np.broadcast_to(-tx[2], np.broadcast_shapes(x.shape, y.shape))
-    d = np.sqrt(px * px + py * py + pz * pz)
-    if np.any(d == 0.0):
-        raise GeometryError("panel point coincides with the transmitter")
-    return px, py, pz, d
-
-
 def incident_fields(scenario: LinkScenario, x, y):
     """Incident E and H of the gain-scaled spherical-wave source at panel points.
 
@@ -124,7 +105,15 @@ def incident_fields(scenario: LinkScenario, x, y):
     polarization as close to the panel y axis as transversality allows, so
     |e| = eta*|h| holds exactly at every point.
     """
-    px, py, pz, d = transmitter_ray(scenario, x, y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    tx = scenario.tx_position
+    px = x - tx[0]
+    py = y - tx[1]
+    pz = -tx[2]
+    d = np.sqrt(px * px + py * py + pz * pz)
+    if np.any(d == 0.0):
+        raise GeometryError("panel point coincides with the transmitter")
     kx, ky, kz = px / d, py / d, pz / d
 
     # unit polarization: y axis minus its projection on the propagation direction
@@ -189,11 +178,15 @@ def parse_scenario(text: str) -> LinkScenario:
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    try:
+        g_tx, g_rx = (10.0 ** (raw[key] / 10.0) for key in ("g_tx_dbi", "g_rx_dbi"))
+    except OverflowError:
+        raise ConfigError("g_tx_dbi or g_rx_dbi overflows a linear gain") from None
     return LinkScenario(
         f=raw["f_hz"],
         p_tx=raw["p_tx_w"],
-        g_tx=10.0 ** (raw["g_tx_dbi"] / 10.0),
-        g_rx=10.0 ** (raw["g_rx_dbi"] / 10.0),
+        g_tx=g_tx,
+        g_rx=g_rx,
         r_tx=raw["r_tx_m"],
         r_rx=raw["r_rx_m"],
         theta0=math.radians(raw["theta0_deg"]),

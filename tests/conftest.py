@@ -1,21 +1,14 @@
 """Shared fixtures: reference link scenarios and precomputed sweeps."""
 
-import math
-
 import numpy as np
 import pytest
 
 import skinlink as sk
 
+from helpers import make_scenario
+
 GAIN_LOW = 10.0 ** (15.4 / 10.0)
 GAIN_HIGH = 10.0 ** (25.5 / 10.0)
-
-
-def make_scenario(f=27e9, p_tx=0.1, g_dbi=15.4, r_tx=15.0, r_rx=15.0,
-                  theta0_deg=30.0, delta=None):
-    g = 10.0 ** (g_dbi / 10.0)
-    return sk.LinkScenario(f=f, p_tx=p_tx, g_tx=g, g_rx=g, r_tx=r_tx, r_rx=r_rx,
-                           theta0=math.radians(theta0_deg), delta=delta)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 
 import skinlink as sk
 
-from conftest import make_scenario
+from helpers import make_scenario
 
 
 def verdict(number: int, ok: bool, text: str) -> None:

@@ -9,7 +9,7 @@ import pytest
 import skinlink as sk
 from skinlink import analysis
 
-from conftest import make_scenario
+from helpers import make_scenario
 
 
 def test_threshold_side_values(baseline, baseline_50m):

@@ -121,6 +121,11 @@ def test_layout_size_mismatch():
     {"f_hz": 27e9, "delta_m": 5.556e-3, "B": 1},                 # no L_m
     [0.05],                                                       # not an object
     {"f_hz": 27e9, "L_m": 0.05, "delta_m": 5.556e-3, "B": 2},    # two descriptors
+    {"L_m": float("nan")},
+    {"L_m": float("inf")},
+    {"L_m": float("-inf")},
+    {"L_m": 0.0},
+    {"L_m": -1.0},
 ])
 def test_import_layout_rejects_bad_meta(meta):
     doc = {"meta": meta, "cells": [[1e-3] * 9] * 9}

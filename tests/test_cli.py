@@ -171,6 +171,14 @@ def test_thresholds_non_finite_config_exit(tmp_path, capsys):
     assert "L_TH" not in captured.out
 
 
+def test_thresholds_gain_overflow_exit(tmp_path, capsys):
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(BASE_CONFIG.replace("g_tx_dbi = 15.4", "g_tx_dbi = 4000"))
+    code = main(["thresholds", "--scenario", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_bad_variable_exit(scenario_file, tmp_path):
     code = main(["sweep", "--scenario", scenario_file, "--variable", "frequency",
                  "--values", "1,2", "--out", str(tmp_path / "o")])

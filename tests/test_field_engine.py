@@ -7,7 +7,7 @@ import pytest
 
 import skinlink as sk
 
-from conftest import make_scenario
+from helpers import make_scenario
 
 LAMBDA = sk.wavelength(27e9)
 DELTA = LAMBDA / 2.0

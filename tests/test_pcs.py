@@ -7,7 +7,7 @@ import pytest
 
 import skinlink as sk
 
-from conftest import make_scenario
+from helpers import make_scenario
 
 
 def test_magnetic_current_vanishes(baseline):
@@ -105,3 +105,14 @@ def test_small_aperture_growth(baseline, sweep19):
     values = [sk.pcs_tpa(baseline, 0.05)] + small
     assert len(values) >= 3
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_scenario_delta_sets_the_cell_pitch(table):
+    scenario = make_scenario(delta=4e-3)      # half a wavelength is 5.55 mm
+    panel, _ = sk.design_panel(scenario, 0.1, table)
+    assert (panel.grid.pitch, panel.grid.p_count) == (4e-3, 25)
+    grid = sk.discretize(0.1, 4e-3)
+    currents = sk.pcs_currents(sk.PcsPanel(grid=grid), scenario)
+    at_delta = sk.receiver_tpa(currents, scenario)
+    assert sk.pcs_tpa(scenario, 0.1) == at_delta
+    assert sk.pcs_tpa(make_scenario(), 0.1) != at_delta

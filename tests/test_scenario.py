@@ -7,7 +7,7 @@ import pytest
 
 import skinlink as sk
 
-from conftest import make_scenario
+from helpers import make_scenario
 
 
 def test_constants_consistency():
@@ -156,6 +156,11 @@ def test_parse_scenario_unknown_key_is_hard_error():
 def test_parse_scenario_reports_bad_value_line():
     with pytest.raises(sk.ConfigError, match="line 2"):
         sk.parse_scenario("f_hz = 27e9\np_tx_w = lots\n")
+
+
+def test_parse_scenario_gain_overflow():
+    with pytest.raises(sk.ConfigError, match="g_tx_dbi"):
+        sk.parse_scenario(GOOD_CONFIG.replace("g_tx_dbi = 15.4", "g_tx_dbi = 4000"))
 
 
 def test_parse_scenario_missing_and_duplicate():

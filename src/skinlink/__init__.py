@@ -10,10 +10,9 @@ closed-form attenuation bounds and panel-sizing rules.
 from .analysis import (DeltaMetrics, MarkerSet, OptimalityInterval, TpaSweepRow,
                        delta_metrics, l_fresnel, l_threshold, markers,
                        optimality_interval, sweep)
-from .aperture import (ApertureGrid, DescriptorVector, descriptor_from_matrix,
-                       discretize, export_layout, import_layout,
-                       scenario_fingerprint)
-from .constants import C0, CONSTANTS, EPS0, ETA0, MU0, PhysicalConstants
+from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
+                       import_layout, scenario_fingerprint)
+from .constants import C0, EPS0, ETA0, MU0
 from .ems import (EmsPanel, ReflectionLookupTable, TargetPhases,
                   average_incident_fields, design_panel, ems_received_power_matched,
                   ems_tpa, ems_upper_bound_tpa, gstc_currents, ideal_current_phases,

@@ -63,59 +63,19 @@ def discretize(side_l: float, pitch: float, centered: bool = False) -> ApertureG
 
 @dataclass(frozen=True)
 class DescriptorVector:
-    """Panel descriptors: the side plus one meta-atom geometry value per cell.
+    """Panel descriptors D = {L; g_pq}: the side plus one meta-atom geometry per cell.
 
-    values holds g_pq in the flattened order s - 1 = p + q*P, so the full
-    vector is (side_l,) + values with total length 1 + P*Q.
+    values is the (P, Q) geometry matrix indexed [p, q], the same layout as
+    ApertureGrid.cell_grid() and as the cells of a layout document.
     """
 
     side_l: float
-    values: np.ndarray     # shape (P*Q,), geometry values [m]
-    p_count: int
-    q_count: int
+    values: np.ndarray     # shape (P, Q), geometry values [m]
 
     def __post_init__(self):
-        if self.p_count != self.q_count:
-            raise LayoutError("panels are square: P must equal Q")
-        expected = self.p_count * self.q_count
-        if self.values.shape != (expected,):
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise LayoutError(
-                f"descriptor length {self.values.shape} != P*Q = {expected}")
-
-    @property
-    def length(self) -> int:
-        """Total descriptor count S = 1 + P*Q."""
-        return 1 + self.values.size
-
-    def flat_index(self, p: int, q: int) -> int:
-        """Position s of g_pq in the full descriptor vector."""
-        if not (0 <= p < self.p_count and 0 <= q < self.q_count):
-            raise LayoutError(f"descriptor index (p={p}, q={q}) out of range")
-        return 1 + p + q * self.p_count
-
-    def unflatten_index(self, s: int):
-        """Inverse of flat_index: s -> (p, q)."""
-        if not 1 <= s < self.length:
-            raise LayoutError(f"descriptor position {s} out of range")
-        q, p = divmod(s - 1, self.p_count)
-        return p, q
-
-    def g(self, p: int, q: int) -> float:
-        return float(self.values[self.flat_index(p, q) - 1])
-
-    def as_matrix(self) -> np.ndarray:
-        """Geometry values as a (P, Q) matrix indexed [p, q]."""
-        return self.values.reshape(self.q_count, self.p_count).T.copy()
-
-
-def descriptor_from_matrix(side_l: float, matrix: np.ndarray) -> DescriptorVector:
-    """Build a descriptor vector from a (P, Q) geometry matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise LayoutError("geometry matrix must be two-dimensional")
-    p_count, q_count = m.shape
-    return DescriptorVector(side_l=side_l, values=m.T.reshape(-1).copy(),
-                            p_count=p_count, q_count=q_count)
+                f"descriptor values must form a square P x Q matrix, got {self.values.shape}")
 
 
 def scenario_fingerprint(scenario) -> str:
@@ -141,9 +101,10 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
     """Serialize a layout to a JSON document (decimal round-trip exact).
 
     The document carries meta {f_hz, L_m, delta_m, B, scenario_hash} and the
-    cells as P rows by Q columns of geometry values in meters.
+    cells as the descriptor matrix itself: P rows by Q columns of geometry
+    values in meters, row p holding g_p0 ... g_p(Q-1).
     """
-    if d.p_count != grid.p_count or d.q_count != grid.q_count:
+    if d.values.shape != (grid.p_count, grid.q_count):
         raise LayoutError("descriptor cell counts do not match the grid")
     doc = {
         "meta": {
@@ -153,7 +114,7 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
             "B": 1,
             "scenario_hash": scenario_hash,
         },
-        "cells": d.as_matrix().tolist(),
+        "cells": d.values.tolist(),
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -170,8 +131,8 @@ def import_layout(text: str):
         raise LayoutError(f"malformed layout document: {exc!r}") from exc
     if not (math.isfinite(side_l) and side_l > 0):
         raise LayoutError(f"layout side L_m must be finite and positive, got {side_l!r}")
-    if cells.ndim != 2:
-        raise LayoutError("layout cells must form a matrix")
     if b_count != 1:
         raise LayoutError("only single-descriptor (B = 1) layouts are supported")
-    return descriptor_from_matrix(side_l, cells), meta
+    if not np.all(np.isfinite(cells)):
+        raise LayoutError("layout cells must be finite")
+    return DescriptorVector(side_l=side_l, values=cells), meta

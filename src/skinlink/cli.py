@@ -149,7 +149,7 @@ def cmd_design(args) -> int:
     a_ems = ems.ems_tpa(scenario, panel, fresnel=fresnel)
     a_opt = ems.ems_upper_bound_tpa(scenario, panel.grid.side_l)
     a_pcs = pcs_tpa(scenario, args.side_l, centered=args.centered_cells, fresnel="off")
-    rings = _ring_count(panel.d.as_matrix(), *table.g_range)
+    rings = _ring_count(panel.d.values, *table.g_range)
 
     out = _outdir(args)
     layout = export_layout(panel.d, panel.grid, scenario.f,

@@ -1,26 +1,11 @@
-"""Free-space physical constants used throughout the library."""
+"""Free-space physical constants used throughout the library.
 
-from dataclasses import dataclass, field
+EPS0 and ETA0 follow from C0 and MU0 by definition.
+"""
+
 import math
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Vacuum constants. eta and c are tied to mu0/eps0 by definition."""
-
-    c: float = 2.99792458e8                      # speed of light [m/s], exact
-    mu0: float = 4.0e-7 * math.pi                # permeability [H/m]
-    eps0: float = field(init=False)              # permittivity [F/m]
-    eta: float = field(init=False)               # wave impedance [ohm]
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps0", 1.0 / (self.mu0 * self.c**2))
-        object.__setattr__(self, "eta", math.sqrt(self.mu0 / self.eps0))
-
-
-CONSTANTS = PhysicalConstants()
-
-C0 = CONSTANTS.c
-MU0 = CONSTANTS.mu0
-EPS0 = CONSTANTS.eps0
-ETA0 = CONSTANTS.eta
+C0 = 2.99792458e8                    # speed of light [m/s], exact
+MU0 = 4.0e-7 * math.pi               # permeability [H/m]
+EPS0 = 1.0 / (MU0 * C0**2)           # permittivity [F/m]
+ETA0 = math.sqrt(MU0 / EPS0)         # wave impedance [ohm]

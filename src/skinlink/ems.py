@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aperture import (ApertureGrid, DescriptorVector, descriptor_from_matrix,
-                       discretize)
+from .aperture import ApertureGrid, DescriptorVector, discretize
 from .constants import ETA0
 from .errors import ConfigError, DomainError, LayoutError
 from .field_engine import (ObservationPoint, SurfaceCurrents, beta,
@@ -42,8 +41,9 @@ def wrap_phase(x):
 class ReflectionLookupTable:
     """Meta-atom geometry to diagonal reflection tensor map.
 
-    g holds U strictly increasing geometry values [m]; gamma_xx and gamma_yy
-    the matching complex reflection coefficients, passive (|gamma| <= 1).
+    g holds U strictly increasing, finite geometry values [m]; gamma_xx and
+    gamma_yy the matching finite complex reflection coefficients, passive
+    (|gamma| <= 1).
     Lookups between entries interpolate magnitude and unwrapped phase linearly.
     """
 
@@ -56,6 +56,8 @@ class ReflectionLookupTable:
             raise ConfigError("reflection table needs at least two entries")
         if self.gamma_xx.shape != self.g.shape or self.gamma_yy.shape != self.g.shape:
             raise ConfigError("reflection table columns must share one length")
+        if not all(np.all(np.isfinite(a)) for a in (self.g, self.gamma_xx, self.gamma_yy)):
+            raise ConfigError("reflection table entries must be finite")
         if not np.all(np.diff(self.g) > 0):
             raise ConfigError("table geometry values must be strictly increasing")
         for name in ("gamma_xx", "gamma_yy"):
@@ -72,6 +74,14 @@ class ReflectionLookupTable:
         unwrapped = np.unwrap(np.angle(self.gamma_yy))
         return float(unwrapped.max() - unwrapped.min())
 
+    def check_range(self, g_values) -> None:
+        """Raise LayoutError unless every geometry value lies in the table range."""
+        lo, hi = self.g_range
+        q = np.asarray(g_values, dtype=float)
+        if not np.all((q >= lo - 1e-12) & (q <= hi + 1e-12)):  # NaN fails too
+            raise LayoutError(
+                f"geometry value outside table range [{lo:.6g}, {hi:.6g}] m")
+
     def _interp_column(self, gamma: np.ndarray, g_query: np.ndarray) -> np.ndarray:
         phase = np.unwrap(np.angle(gamma))
         mag = np.abs(gamma)
@@ -80,12 +90,8 @@ class ReflectionLookupTable:
 
     def gamma_at(self, g_query):
         """Interpolated (gamma_xx, gamma_yy) at geometry values g_query [m]."""
-        q = np.asarray(g_query, dtype=float)
-        lo, hi = self.g_range
-        if np.any(q < lo - 1e-12) or np.any(q > hi + 1e-12):
-            raise LayoutError(
-                f"geometry value outside table range [{lo:.6g}, {hi:.6g}] m")
-        qc = np.clip(q, lo, hi)
+        self.check_range(g_query)
+        qc = np.clip(np.asarray(g_query, dtype=float), *self.g_range)
         return self._interp_column(self.gamma_xx, qc), self._interp_column(self.gamma_yy, qc)
 
     def dense_grid(self, resolution: float = 1e-6):
@@ -193,13 +199,11 @@ class EmsPanel:
     table: ReflectionLookupTable
 
     def __post_init__(self):
-        if (self.d.p_count, self.d.q_count) != (self.grid.p_count, self.grid.q_count):
+        if self.d.values.shape != (self.grid.p_count, self.grid.q_count):
             raise LayoutError("descriptor cell counts do not match the grid")
         if not abs(self.d.side_l - self.grid.side_l) <= 1e-12:  # NaN fails too
             raise LayoutError("descriptor side does not match the grid side")
-        lo, hi = self.table.g_range
-        if np.any(self.d.values < lo - 1e-12) or np.any(self.d.values > hi + 1e-12):
-            raise LayoutError("descriptor geometry outside the table range")
+        self.table.check_range(self.d.values)
 
 
 def average_incident_fields(grid: ApertureGrid, scenario: LinkScenario):
@@ -260,39 +264,22 @@ def predicted_phase(table: ReflectionLookupTable, g_values, scenario: LinkScenar
 def _nearest_candidate(cand: np.ndarray, need: np.ndarray):
     """Index (per need) of the candidate phase at smallest wrapped distance.
 
-    cand is ordered by ascending geometry value; exact distance ties resolve
-    to the smaller geometry. Uses a bisection shortcut when the candidate
-    phases are strictly monotone (no wrap crossing can occur because every
-    1 - gamma has nonnegative real part), otherwise a chunked scan.
+    cand is ordered by ascending geometry value, in any phase order, with
+    repeats allowed. On the circle the nearest candidate is always one of the
+    two circular neighbours of the need among the sorted distinct phases, so
+    only those two are compared. A repeated phase stands for its smallest
+    geometry, and exact distance ties resolve to the smaller geometry.
+    Returns the indices and the wrapped distances, both shaped like need.
     """
+    phases, first = np.unique(cand, return_index=True)
     flat_need = need.reshape(-1)
-    diffs = np.diff(cand)
-    if np.all(diffs > 0) or np.all(diffs < 0):
-        ascending = diffs[0] > 0
-        view = cand if ascending else cand[::-1]
-        pos = np.searchsorted(view, flat_need)
-        below = np.clip(pos - 1, 0, cand.size - 1)
-        above = np.clip(pos, 0, cand.size - 1)
-        first = np.zeros_like(pos)
-        last = np.full_like(pos, cand.size - 1)
-        pool = np.stack([below, above, first, last])
-        if not ascending:
-            pool = cand.size - 1 - pool
-        pool.sort(axis=0)  # ascending geometry, so argmin ties pick smaller g
-        dist = np.abs(wrap_phase(cand[pool] - flat_need[None, :]))
-        choice = np.argmin(dist, axis=0)
-        idx = pool[choice, np.arange(flat_need.size)]
-        best = dist[choice, np.arange(flat_need.size)]
-    else:
-        idx = np.empty(flat_need.size, dtype=int)
-        best = np.empty(flat_need.size)
-        chunk = max(1, 2_000_000 // cand.size)
-        for start in range(0, flat_need.size, chunk):
-            sl = slice(start, min(start + chunk, flat_need.size))
-            dist = np.abs(wrap_phase(cand[None, :] - flat_need[sl, None]))
-            idx[sl] = np.argmin(dist, axis=1)
-            best[sl] = dist[np.arange(dist.shape[0]), idx[sl]]
-    return idx.reshape(need.shape), best.reshape(need.shape)
+    above = np.searchsorted(phases, flat_need)
+    pair = np.stack([above - 1, above % phases.size])   # -1 wraps to the top
+    dist = np.abs(wrap_phase(phases[pair] - flat_need))
+    geom = first[pair]
+    pick = (dist[1] < dist[0]) | ((dist[1] == dist[0]) & (geom[1] < geom[0]))
+    idx = np.where(pick, geom[1], geom[0])
+    return idx.reshape(need.shape), dist.min(axis=0).reshape(need.shape)
 
 
 def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
@@ -310,14 +297,14 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     _, h_inc = average_incident_fields(grid, scenario)
     need = wrap_phase(targets.values - np.angle(h_inc[0]))
     idx, _ = _nearest_candidate(cand, need)
-    return descriptor_from_matrix(grid.side_l, g_fine[idx])
+    return DescriptorVector(side_l=grid.side_l, values=g_fine[idx])
 
 
 def synthesis_mismatch(grid: ApertureGrid, table: ReflectionLookupTable,
                        d: DescriptorVector, targets: TargetPhases,
                        scenario: LinkScenario) -> float:
     """Total squared wrapped phase error of a layout against its targets [rad^2]."""
-    pred = predicted_phase(table, d.as_matrix(), scenario, grid)
+    pred = predicted_phase(table, d.values, scenario, grid)
     err = wrap_phase(pred - targets.values)
     return float(np.sum(err * err))
 
@@ -333,7 +320,7 @@ def design_panel(scenario: LinkScenario, side_l: float,
 
 def gstc_currents(panel: EmsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     """Surface currents of a synthesized panel under the scenario's illumination."""
-    gxx, gyy = panel.table.gamma_at(panel.d.as_matrix())
+    gxx, gyy = panel.table.gamma_at(panel.d.values)
     return reflection_currents(panel.grid, scenario, gxx, gyy)
 
 

@@ -1,4 +1,4 @@
-"""Grid discretization, descriptor indexing and layout serialization."""
+"""Grid discretization, descriptor matrices and layout serialization."""
 
 import json
 
@@ -54,43 +54,19 @@ def test_grid_symmetry():
     np.testing.assert_array_equal(X, Y.T)
 
 
-def test_descriptor_index_bijection():
-    d = sk.DescriptorVector(side_l=0.1, values=np.zeros(3 * 3), p_count=3, q_count=3)
-    assert d.length == 1 + 9
-    seen = set()
-    for q in range(3):
-        for p in range(3):
-            s = d.flat_index(p, q)
-            assert 1 <= s < d.length
-            assert d.unflatten_index(s) == (p, q)
-            seen.add(s)
-    assert seen == set(range(1, d.length))
-
-
-def test_descriptor_bad_index():
-    d = sk.DescriptorVector(side_l=0.1, values=np.zeros(4), p_count=2, q_count=2)
-    with pytest.raises(sk.LayoutError):
-        d.flat_index(2, 0)
-    with pytest.raises(sk.LayoutError):
-        d.unflatten_index(0)
-
-
-def test_descriptor_matrix_roundtrip():
-    rng = np.random.default_rng(3)
-    m = rng.uniform(0.3e-3, 5e-3, size=(4, 4))
-    d = sk.descriptor_from_matrix(0.1, m)
-    np.testing.assert_array_equal(d.as_matrix(), m)
-    for p in range(4):
-        for q in range(4):
-            assert d.g(p, q) == m[p, q]
+def test_descriptor_rejects_non_matrix_values():
+    sk.DescriptorVector(side_l=0.1, values=np.zeros((3, 3)))
+    for values in (np.zeros(9), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(sk.LayoutError):
+            sk.DescriptorVector(side_l=0.1, values=values)
 
 
 def test_layout_roundtrip_single_cell():
     grid = sk.discretize(5.556e-3, 5.556e-3)
-    d = sk.descriptor_from_matrix(grid.side_l, np.array([[3.0e-3]]))
+    d = sk.DescriptorVector(side_l=grid.side_l, values=np.array([[3.0e-3]]))
     doc = sk.export_layout(d, grid, f_hz=27e9, scenario_hash="demo")
     d2, meta = sk.import_layout(doc)
-    np.testing.assert_array_equal(d2.as_matrix(), [[3.0e-3]])
+    np.testing.assert_array_equal(d2.values, [[3.0e-3]])
     assert meta["f_hz"] == 27e9
     assert meta["delta_m"] == grid.pitch
 
@@ -99,7 +75,7 @@ def test_layout_roundtrip_bit_exact():
     rng = np.random.default_rng(11)
     grid = sk.discretize(0.05, 5.556e-3)
     m = rng.uniform(0.3e-3, 5e-3, size=(grid.p_count, grid.q_count))
-    d = sk.descriptor_from_matrix(grid.side_l, m)
+    d = sk.DescriptorVector(side_l=grid.side_l, values=m)
     doc = sk.export_layout(d, grid, f_hz=27e9)
     d2, _ = sk.import_layout(doc)
     assert d2.side_l == d.side_l
@@ -110,11 +86,18 @@ def test_layout_roundtrip_bit_exact():
 
 def test_layout_size_mismatch():
     grid = sk.discretize(0.05, 5.556e-3)
-    d = sk.descriptor_from_matrix(grid.side_l, np.zeros((2, 2)))
+    d = sk.DescriptorVector(side_l=grid.side_l, values=np.zeros((2, 2)))
     with pytest.raises(sk.LayoutError):
         sk.export_layout(d, grid, f_hz=27e9)
     with pytest.raises(sk.LayoutError):
         sk.import_layout("{\"meta\": {}}")
+    doc = json.loads(sk.export_layout(
+        sk.DescriptorVector(side_l=grid.side_l, values=np.full((9, 9), 1e-3)), grid,
+        f_hz=27e9))
+    for bad in (float("nan"), float("inf")):
+        doc["cells"][4][2] = bad
+        with pytest.raises(sk.LayoutError):
+            sk.import_layout(json.dumps(doc))
 
 
 @pytest.mark.parametrize("meta", [
@@ -143,7 +126,7 @@ def ring_count(matrix, g_lo, g_hi):
 def test_synthesized_layout_has_concentric_rings(panel08, table):
     panel, _ = panel08
     assert panel.grid.p_count == 144
-    m = panel.d.as_matrix()
+    m = panel.d.values
     lo, hi = table.g_range
     assert ring_count(m, lo, hi) > 1
     # concentric structure: the pattern is symmetric about the y = 0 row

@@ -86,7 +86,7 @@ def test_design_artifacts_and_determinism(scenario_file, tmp_path):
     assert report["a_ems_db"] <= report["a_opt_db"]
     d, meta = sk.import_layout(layout1.decode("ascii"))
     assert meta["f_hz"] == 27e9
-    assert d.p_count == 36
+    assert d.values.shape == (36, 36)
 
 
 def test_design_baseline_panel_report(scenario_file, tmp_path):
@@ -106,7 +106,7 @@ def test_design_single_cell_panel(tmp_path, scenario_file):
                  "--out", str(out)])
     assert code == 0
     d, _ = sk.import_layout((out / "layout.json").read_text())
-    assert d.p_count == 1
+    assert d.values.shape == (1, 1)
     report = json.loads((out / "design_report.json").read_text())
     assert report["phi_total_rad2"] >= 0.0
 

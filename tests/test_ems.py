@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skinlink as sk
 from skinlink.ems import _nearest_candidate
@@ -84,6 +86,12 @@ def test_table_csv_validation(tmp_path):
                       "1e-3,1,0,1,0\n2e-3,2,0,2,0\n")
     with pytest.raises(sk.ConfigError):
         sk.load_reflection_table(active)
+    for bad in ("nan", "inf"):
+        non_finite = tmp_path / f"{bad}.csv"
+        non_finite.write_text("g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy\n"
+                              f"1e-3,1,0,1,0\n2e-3,1,0,{bad},0\n")
+        with pytest.raises(sk.ConfigError):
+            sk.load_reflection_table(non_finite)
 
 
 def test_gamma_lookup_range(table):
@@ -92,6 +100,8 @@ def test_gamma_lookup_range(table):
         table.gamma_at(hi + 1e-4)
     with pytest.raises(sk.LayoutError):
         table.gamma_at(lo - 1e-4)
+    with pytest.raises(sk.LayoutError):
+        table.gamma_at(np.array([lo, math.nan]))
     gxx, gyy = table.gamma_at(np.array([lo, hi]))
     np.testing.assert_allclose(gxx, table.gamma_xx[[0, -1]], rtol=1e-12)
     np.testing.assert_allclose(gyy, table.gamma_yy[[0, -1]], rtol=1e-12)
@@ -186,13 +196,48 @@ def test_nearest_candidate_brute_path_matches_fast_path():
     np.testing.assert_array_equal(shuffled[brute_idx], mono[fast_idx])
 
 
+def lattice(step):
+    """Multiples of step in [-pi, pi]."""
+    top = int(math.pi / step)
+    return st.integers(-top, top).map(lambda k: k * step)
+
+
+# Candidates on a 2^-20 rad lattice and needs on its half-step lattice (so
+# exact midpoint ties occur): distinct phases then lie much farther apart than
+# the rounding of wrap_phase, and the scan ranks them by their true distance.
+# Off the lattice the scan can tie distinct phases by rounding: for the need 0
+# it finds the candidates 0.0 and 2e-247 both at distance 0.
+@settings(max_examples=300, deadline=None)
+@given(cand=st.lists(lattice(2.0 ** -20), min_size=1, max_size=60).flatmap(
+           lambda c: st.sampled_from([c, sorted(c), sorted(c, reverse=True),
+                                     c[: (len(c) + 1) // 2] * 2])),
+       needs=st.lists(lattice(2.0 ** -21), min_size=1, max_size=20))
+def test_nearest_candidate_matches_brute_force(cand, needs):
+    cand, needs = np.array(cand), np.array(needs)
+    idx, best = _nearest_candidate(cand, needs)
+    dist = np.abs(sk.wrap_phase(cand[None, :] - needs[:, None]))
+    brute = np.argmin(dist, axis=1)                   # first minimum: smaller index
+    np.testing.assert_array_equal(idx, brute)
+    np.testing.assert_array_equal(best, dist[np.arange(needs.size), brute])
+
+
+def test_synthesis_on_single_candidate_table(baseline):
+    # a 0.1 um geometry span is below the 1 um synthesis step: one candidate
+    narrow = sk.ReflectionLookupTable(g=np.array([1.0e-3, 1.0e-3 + 1e-7]),
+                                      gamma_xx=np.array([1j, -1j]),
+                                      gamma_yy=np.array([1j, -1j]))
+    panel, _ = sk.design_panel(baseline, 0.05, narrow)
+    np.testing.assert_array_equal(panel.d.values, 1.0e-3)
+    assert sk.ems_tpa(baseline, panel, fresnel="off") > 0.0
+
+
 def test_synthesis_exact_targets_give_constant_layout(baseline, table):
     grid = sk.discretize(12 * baseline.pitch, baseline.pitch)
     g_mid = 2.3e-3  # on the interpolation lattice
     pred = sk.predicted_phase(table, g_mid, baseline, grid)
     targets = sk.TargetPhases(values=sk.wrap_phase(pred))
     d = sk.synthesize_layout(grid, table, targets, baseline)
-    np.testing.assert_allclose(d.as_matrix(), g_mid, atol=1e-12)
+    np.testing.assert_allclose(d.values, g_mid, atol=1e-12)
     phi = sk.synthesis_mismatch(grid, table, d, targets, baseline)
     assert phi <= 1e-18
 
@@ -209,7 +254,7 @@ def test_synthesis_percell_error_bound(baseline):
     base = sk.predicted_phase(coarse, coarse.g[0], baseline, grid)
     targets = sk.TargetPhases(values=sk.wrap_phase(base - cand[0] + arc))
     d = sk.synthesize_layout(grid, coarse, targets, baseline)
-    pred = sk.predicted_phase(coarse, d.as_matrix(), baseline, grid)
+    pred = sk.predicted_phase(coarse, d.values, baseline, grid)
     err = np.abs(sk.wrap_phase(pred - targets.values))
     assert np.all(err <= gap / 2.0 + 1e-9)
 
@@ -231,16 +276,20 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
 
 def test_panel_validation(baseline, table):
     grid = sk.discretize(0.05, baseline.pitch)
-    good = sk.descriptor_from_matrix(
-        grid.side_l, np.full((grid.p_count, grid.q_count), 2e-3))
+    shape = (grid.p_count, grid.q_count)
+    good = sk.DescriptorVector(side_l=grid.side_l, values=np.full(shape, 2e-3))
     sk.EmsPanel(grid=grid, d=good, table=table)
-    with pytest.raises(sk.LayoutError):
-        sk.EmsPanel(grid=grid, d=sk.descriptor_from_matrix(
-            grid.side_l, np.full((grid.p_count, grid.q_count), 9e-3)), table=table)
+    for g in (9e-3, math.nan):
+        values = np.full(shape, 2e-3)
+        values[1, 2] = g
+        with pytest.raises(sk.LayoutError):
+            sk.EmsPanel(grid=grid, d=sk.DescriptorVector(side_l=grid.side_l, values=values),
+                        table=table)
     for side in (0.123, math.nan):
         with pytest.raises(sk.LayoutError):
-            sk.EmsPanel(grid=grid, d=sk.descriptor_from_matrix(
-                side, np.full((grid.p_count, grid.q_count), 2e-3)), table=table)
+            sk.EmsPanel(grid=grid, d=sk.DescriptorVector(side_l=side,
+                                                         values=np.full(shape, 2e-3)),
+                        table=table)
 
 
 # --- skin attenuation -----------------------------------------------------

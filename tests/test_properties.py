@@ -48,3 +48,45 @@ def test_tpa_invariant_under_joint_wavelength_and_length_scaling(
         tpa.append((sk.pcs_tpa(scenario, length, fresnel="off"),
                     sk.ems_tpa(scenario, panel, fresnel="off")))
     np.testing.assert_allclose(tpa[1], tpa[0], rtol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**geometry)
+def test_skin_stays_below_the_ideal_bound(f, r_tx, r_rx, theta0_deg, cells):
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    panel, _ = sk.design_panel(scenario, cells * scenario.pitch, TABLE)
+    a_ems = sk.ems_tpa(scenario, panel, fresnel="off")
+    a_opt = sk.ems_upper_bound_tpa(scenario, panel.grid.side_l)
+    assert sk.db(a_ems) <= sk.db(a_opt) + 0.5
+
+
+def _oracle_error(currents, obs, wavelength):
+    closed = sk.scattered_field(currents, obs, wavelength, fresnel="off")
+    oracle = sk.quadrature_oracle(currents, obs, wavelength)
+    return (math.hypot(abs(closed.e_theta - oracle.e_theta),
+                       abs(closed.e_phi - oracle.e_phi))
+            / math.hypot(abs(oracle.e_theta), abs(oracle.e_phi)))
+
+
+# theta starts at 0.05 rad, as in acceptance criterion 7: at the pole the
+# oracle's sub-patch azimuths spread over every direction, and the magnetic
+# term of the phi bracket does not give one field there for every azimuth.
+@settings(max_examples=40, deadline=None)
+@given(f=geometry["f"], theta=st.floats(0.05, math.radians(70.0)),
+       cells=geometry["cells"], phi=st.floats(0.0, 2.0 * math.pi),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_converges_to_the_oracle(f, theta, cells, phi, seed):
+    # random (incoherent) currents keep every per-cell approximation visible
+    lam = sk.wavelength(f)
+    grid = sk.discretize(cells * lam / 2.0, lam / 2.0)
+    rng = np.random.default_rng(seed)
+    shape = (grid.p_count, grid.q_count)
+    currents = sk.SurfaceCurrents(
+        *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)),
+        grid=grid)
+    r_min = sk.fresnel_min_distance(grid.side_l, lam)
+    near, far = (_oracle_error(currents, sk.ObservationPoint(r=m * r_min, theta=theta,
+                                                             phi=phi), lam)
+                 for m in (100, 1000))
+    assert far < 1e-3
+    assert far < near

@@ -11,9 +11,8 @@ from helpers import make_scenario
 
 
 def test_constants_consistency():
-    c = sk.CONSTANTS
-    assert abs(c.eta - math.sqrt(c.mu0 / c.eps0)) <= 1e-12 * c.eta
-    assert abs(c.c - 1.0 / math.sqrt(c.mu0 * c.eps0)) <= 1e-12 * c.c
+    assert abs(sk.ETA0 - math.sqrt(sk.MU0 / sk.EPS0)) <= 1e-12 * sk.ETA0
+    assert abs(sk.C0 - 1.0 / math.sqrt(sk.MU0 * sk.EPS0)) <= 1e-12 * sk.C0
 
 
 def test_wavelength_values():

@@ -13,12 +13,11 @@ from .analysis import (DeltaMetrics, MarkerSet, OptimalityInterval, TpaSweepRow,
 from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
                        import_layout, scenario_fingerprint)
 from .constants import C0, EPS0, ETA0, MU0
-from .ems import (EmsPanel, ReflectionLookupTable, TargetPhases,
-                  average_incident_fields, design_panel, ems_received_power_matched,
+from .ems import (EmsPanel, ReflectionLookupTable, TargetPhases, design_panel,
                   ems_tpa, ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
-                  load_reflection_table, matched_route_scale, parse_reflection_table,
-                  predicted_phase, reflection_currents, save_reflection_table,
-                  synthesis_mismatch, synthesize_layout, synthetic_table, wrap_phase)
+                  load_reflection_table, parse_reflection_table, predicted_phase,
+                  reflection_currents, save_reflection_table, synthesis_mismatch,
+                  synthesize_layout, synthetic_table, wrap_phase)
 from .errors import (ConfigError, DomainError, FresnelValidityError,
                      FresnelValidityWarning, GeometryError, LayoutError,
                      SkinlinkError)
@@ -28,8 +27,8 @@ from .field_engine import (CutMap, FieldCut, ObservationPoint, ScatteredField,
                            receiver_frame, receiver_tpa, scattered_field,
                            scattered_field_at_points, sinc)
 from .pcs import PcsPanel, pcs_asymptotic_tpa, pcs_currents, pcs_tpa
-from .scenario import (FieldSample, LinkScenario, db, incident_field,
-                       incident_fields, load_scenario, parse_scenario, wavelength)
+from .scenario import (LinkScenario, db, incident_fields, load_scenario,
+                       parse_scenario, wavelength)
 
 __version__ = "0.1.0"
 

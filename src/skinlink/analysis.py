@@ -6,13 +6,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ems import ReflectionLookupTable, design_panel, ems_tpa, ems_upper_bound_tpa
-from .errors import (DomainError, FresnelValidityError, FresnelValidityWarning,
-                     SkinlinkError)
+from .errors import DomainError, FresnelValidityError, SkinlinkError
 from .field_engine import fresnel_min_distance
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, db
@@ -116,12 +114,15 @@ def _scenario_for(scenario: LinkScenario, variable: str, value: float) -> LinkSc
 
 
 def evaluate_point(scenario: LinkScenario, side_l: float,
-                   table: ReflectionLookupTable, centered: bool = False,
-                   fresnel: str = "off") -> tuple[float, float, float, float]:
-    """(a_pcs, a_ems, a_opt, a_inf) for one geometry, with a fresh synthesis."""
+                   table: ReflectionLookupTable,
+                   centered: bool = False) -> tuple[float, float, float, float]:
+    """(a_pcs, a_ems, a_opt, a_inf) for one geometry, with a fresh synthesis.
+
+    Fresnel validity is left to the caller (sweep reports it as fresnel_ok).
+    """
     panel, _ = design_panel(scenario, side_l, table, centered=centered)
-    a_ems = ems_tpa(scenario, panel, fresnel=fresnel)
-    a_pcs = pcs_tpa(scenario, side_l, centered=centered, fresnel=fresnel)
+    a_ems = ems_tpa(scenario, panel, fresnel="off")
+    a_pcs = pcs_tpa(scenario, side_l, centered=centered, fresnel="off")
     return (a_pcs, a_ems,
             ems_upper_bound_tpa(scenario, panel.grid.side_l),
             pcs_asymptotic_tpa(scenario))
@@ -146,9 +147,10 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
 
     The skin is re-synthesized (phase conjugation for the updated geometry) at
     every point. For a rho sweep both antenna distances are set to rho/2. For
-    sweeps over anything but side_l the panel side must be given. Per-point
-    library errors are recorded in the row, prefixed with their type, and the
-    sweep continues; any other exception propagates. Points run in a
+    sweeps over anything but side_l the panel side must be given. Fresnel
+    validity is reported in each row's fresnel_ok, not checked or warned about.
+    Per-point library errors are recorded in the row, prefixed with their type,
+    and the sweep continues; any other exception propagates. Points run in a
     thread pool with deterministic, input-ordered results.
     """
     values = list(values)
@@ -167,10 +169,8 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         point_scenario = _scenario_for(scenario, variable, value)
         length = value if variable == "side_l" else side_l
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FresnelValidityWarning)
-                a_pcs, a_ems, a_opt, a_inf = evaluate_point(
-                    point_scenario, length, table, centered)
+            a_pcs, a_ems, a_opt, a_inf = evaluate_point(
+                point_scenario, length, table, centered)
             ok = point_scenario.r_rx >= fresnel_min_distance(
                 length, point_scenario.wavelength)
             return TpaSweepRow(variable=variable, value=value, a_pcs=a_pcs,
@@ -236,9 +236,7 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
 
     def point(length: float):
         if length not in cache:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FresnelValidityWarning)
-                cache[length] = evaluate_point(scenario, length, table, centered)
+            cache[length] = evaluate_point(scenario, length, table, centered)
         return cache[length]
 
     for row in usable:

@@ -52,8 +52,8 @@ def discretize(side_l: float, pitch: float, centered: bool = False) -> ApertureG
     The cell count per axis is round(side_l/pitch) (half away from zero) and
     the side is snapped to an exact multiple of the pitch.
     """
-    if side_l <= 0 or pitch <= 0:
-        raise GeometryError("panel side and pitch must be positive")
+    if not (math.isfinite(side_l) and math.isfinite(pitch) and side_l > 0 and pitch > 0):
+        raise GeometryError("panel side and pitch must be finite and positive")
     if side_l < pitch:
         raise GeometryError(f"panel side {side_l} m is smaller than one cell ({pitch} m)")
     p = int(math.floor(side_l / pitch + 0.5))

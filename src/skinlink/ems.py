@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aperture import ApertureGrid, DescriptorVector, discretize
-from .constants import ETA0
 from .errors import ConfigError, DomainError, LayoutError
-from .field_engine import (ObservationPoint, SurfaceCurrents, beta,
-                           bracket_weights, receiver_tpa, sinc)
+from .field_engine import ObservationPoint, SurfaceCurrents, beta, receiver_tpa
 from .scenario import LinkScenario, incident_fields
 
 _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
@@ -68,11 +66,6 @@ class ReflectionLookupTable:
     @property
     def g_range(self):
         return float(self.g[0]), float(self.g[-1])
-
-    def phase_span_yy(self) -> float:
-        """Covered (unwrapped) phase span of gamma_yy [rad]."""
-        unwrapped = np.unwrap(np.angle(self.gamma_yy))
-        return float(unwrapped.max() - unwrapped.min())
 
     def check_range(self, g_values) -> None:
         """Raise LayoutError unless every geometry value lies in the table range."""
@@ -206,20 +199,6 @@ class EmsPanel:
         self.table.check_range(self.d.values)
 
 
-def average_incident_fields(grid: ApertureGrid, scenario: LinkScenario):
-    """Per-cell incident E and H at the cell barycenters, shape (3, P, Q).
-
-    The radiation sum treats each cell as a patch of uniform-phase current and
-    carries the phase variation inside the cell through its sinc element
-    factor. What a cell needs from the incident field is therefore its
-    envelope at the barycenter carrier phase, which the barycenter sample
-    gives. Averaging the raw field over the cell instead would scale the
-    currents by the average of the intra-cell phase ramp and count that phase
-    twice.
-    """
-    return incident_fields(scenario, *grid.cell_grid())
-
-
 def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
                         gamma_xx, gamma_yy) -> SurfaceCurrents:
     """Equivalent surface currents of cells with the given reflection tensor.
@@ -229,12 +208,16 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     brackets, so the gamma = -1 pole is removable): averaged tangential fields
     E_av = (1 + gamma)/2 * E_inc and H_av = (1 - gamma)/2 * H_inc with the
     cross-polarized pairing, then J_e = 2 n x H_av and J_m = 2 n x E_av.
-    E_inc and H_inc are the incident field at each cell barycenter
-    (average_incident_fields), since the radiation sum's sinc element factor
-    already carries the phase ramp inside the cell.
+    E_inc and H_inc are the incident field sampled at each cell barycenter.
+    The radiation sum treats each cell as a patch of uniform-phase current and
+    carries the phase variation inside the cell through its sinc element
+    factor, so what a cell needs from the incident field is its envelope at the
+    barycenter carrier phase, which the barycenter sample gives. Averaging the
+    raw field over the cell instead would scale the currents by the average of
+    the intra-cell phase ramp and count that phase twice.
     gamma_xx/gamma_yy broadcast against the (P, Q) cell lattice.
     """
-    e_inc, h_inc = average_incident_fields(grid, scenario)
+    e_inc, h_inc = incident_fields(scenario, *grid.cell_grid())
     gxx = np.broadcast_to(np.asarray(gamma_xx), e_inc.shape[1:])
     gyy = np.broadcast_to(np.asarray(gamma_yy), e_inc.shape[1:])
     e_av_x = 0.5 * (1.0 + gxx) * e_inc[0]
@@ -257,7 +240,7 @@ def predicted_phase(table: ReflectionLookupTable, g_values, scenario: LinkScenar
                     grid: ApertureGrid) -> np.ndarray:
     """Phase of the dominant (y-polarized electric) cell current for given geometry."""
     _, gyy = table.gamma_at(g_values)
-    _, h_inc = average_incident_fields(grid, scenario)
+    _, h_inc = incident_fields(scenario, *grid.cell_grid())
     return np.angle((1.0 - gyy) * h_inc[0])
 
 
@@ -294,7 +277,7 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
         raise LayoutError("target phases do not match the grid")
     g_fine, gyy_fine = table.dense_grid(_SYNTHESIS_RESOLUTION)
     cand = np.angle(1.0 - gyy_fine)
-    _, h_inc = average_incident_fields(grid, scenario)
+    _, h_inc = incident_fields(scenario, *grid.cell_grid())
     need = wrap_phase(targets.values - np.angle(h_inc[0]))
     idx, _ = _nearest_candidate(cand, need)
     return DescriptorVector(side_l=grid.side_l, values=g_fine[idx])
@@ -327,34 +310,6 @@ def gstc_currents(panel: EmsPanel, scenario: LinkScenario) -> SurfaceCurrents:
 def ems_tpa(scenario: LinkScenario, panel: EmsPanel, fresnel: str = "warn") -> float:
     """Realized skin path attenuation P_rx/P_tx at the specular receiver."""
     return receiver_tpa(gstc_currents(panel, scenario), scenario, fresnel=fresnel)
-
-
-def ems_received_power_matched(currents: SurfaceCurrents,
-                               scenario: LinkScenario) -> float:
-    """Received power [W] of a perfectly phase-matched panel, magnitude-only route.
-
-    Sums the squared magnitude brackets cell by cell under the
-    G_rx/(32*pi*eta*r_rx^2) prefactor. Relative to the full propagation route
-    this drops the cell area, cell count and element factors; for uniform
-    matched currents the two differ exactly by P*Q*pitch^4*sinc_x^2*sinc_y^2.
-    """
-    w_theta, w_phi = bracket_weights(scenario.theta0, scenario.phi_rx)
-    mags = [np.abs(c) for c in (currents.je_x, currents.je_y,
-                                currents.jm_x, currents.jm_y)]
-    bth = sum(w * m for w, m in zip(w_theta, mags))
-    bph = sum(w * m for w, m in zip(w_phi, mags))
-    total = float(np.sum(bth * bth + bph * bph))
-    return scenario.g_rx * total / (32.0 * math.pi * ETA0 * scenario.r_rx**2)
-
-
-def matched_route_scale(grid: ApertureGrid, scenario: LinkScenario) -> float:
-    """Factor relating the magnitude-only route to the full propagation route."""
-    s = math.sin(scenario.theta0)
-    sp, cp = math.sin(scenario.phi_rx), math.cos(scenario.phi_rx)
-    lam = scenario.wavelength
-    sx = float(sinc(math.pi * grid.pitch * s * cp / lam))
-    sy = float(sinc(math.pi * grid.pitch * s * sp / lam))
-    return grid.cell_count * grid.pitch**4 * sx * sx * sy * sy
 
 
 def ems_upper_bound_tpa(scenario: LinkScenario, side_l: float) -> float:

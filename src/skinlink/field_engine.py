@@ -307,8 +307,8 @@ class FieldCut:
     def __post_init__(self):
         if self.plane not in ("transversal", "longitudinal"):
             raise ConfigError(f"unknown cut plane {self.plane!r}")
-        if self.half_extent < 0:
-            raise ConfigError("cut extent must be nonnegative")
+        if not 0.0 <= self.half_extent < math.inf:  # NaN fails too
+            raise ConfigError("cut extent must be finite and nonnegative")
         if self.points < 1:
             raise ConfigError("cut needs at least one sample point")
 

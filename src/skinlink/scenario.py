@@ -36,8 +36,7 @@ class LinkScenario:
     """One specular NLOS link: carrier, powers, gains and bounce geometry.
 
     Gains are linear (dimensionless), angles in radians, SI units throughout.
-    phi_tx/phi_rx are fixed by the specular-plane convention and the incident
-    polarization is the panel y axis.
+    phi_rx, the receiver azimuth, is fixed by the specular-plane convention.
     """
 
     f: float                      # carrier frequency [Hz]
@@ -48,9 +47,7 @@ class LinkScenario:
     r_rx: float                   # receiver distance from panel center [m]
     theta0: float                 # specular polar angle [rad]
     delta: float | None = None    # optional cell pitch override [m]
-    phi_tx: float = field(init=False, default=math.pi)
     phi_rx: float = field(init=False, default=0.0)
-    polarization: str = field(init=False, default="y")
 
     def __post_init__(self):
         for name in ("f", "p_tx", "g_tx", "g_rx", "r_tx", "r_rx", "theta0", "delta"):
@@ -88,14 +85,6 @@ class LinkScenario:
         return np.array([self.r_rx * s, 0.0, self.r_rx * c])
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Complex E [V/m] and H [A/m] 3-vectors at one point, panel Cartesian frame."""
-
-    e: np.ndarray
-    h: np.ndarray
-
-
 def incident_fields(scenario: LinkScenario, x, y):
     """Incident E and H of the gain-scaled spherical-wave source at panel points.
 
@@ -131,15 +120,6 @@ def incident_fields(scenario: LinkScenario, x, y):
                   (kz * e[0] - kx * e[2]) / ETA0,
                   (kx * e[1] - ky * e[0]) / ETA0])
     return e, h
-
-
-def incident_field(scenario: LinkScenario, point) -> FieldSample:
-    """Incident field sample at a single panel point (x, y, 0)."""
-    p = np.asarray(point, dtype=float)
-    if p.shape == (3,) and p[2] != 0.0:
-        raise GeometryError("incident field is evaluated on the panel plane z = 0")
-    e, h = incident_fields(scenario, p[0], p[1])
-    return FieldSample(e=e.reshape(3), h=h.reshape(3))
 
 
 _SCENARIO_KEYS = {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,15 @@ def test_sweep_records_library_error_type(baseline, table, monkeypatch):
     rows = sk.sweep(baseline, "side_l", [0.2], table, workers=1)
     assert rows[0].error == "GeometryError: degenerate panel"
     assert math.isnan(rows[0].a_ems)
+
+
+def test_threaded_sweep_leaves_warning_filters_alone(baseline, table):
+    # warnings.catch_warnings saves and restores the process-wide filter list,
+    # so worker threads that enter and leave it concurrently can leak filters
+    before = list(warnings.filters)
+    for _ in range(10):
+        sk.sweep(baseline, "side_l", [0.05, 0.06, 0.07, 0.08], table, workers=2)
+    assert warnings.filters == before
 
 
 def test_rho_sweep_splits_the_link(baseline, table):

@@ -1,6 +1,7 @@
 """Grid discretization, descriptor matrices and layout serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ def test_centered_cells_offset():
 
 
 def test_degenerate_aperture_rejected():
-    with pytest.raises(sk.GeometryError):
-        sk.discretize(4e-3, 5.556e-3)
-    with pytest.raises(sk.GeometryError):
-        sk.discretize(-1.0, 5.556e-3)
+    for side_l, pitch in [(4e-3, 5.556e-3), (-1.0, 5.556e-3), (math.nan, 5.556e-3),
+                          (math.inf, 5.556e-3), (0.5, math.nan), (0.5, math.inf)]:
+        with pytest.raises(sk.GeometryError):
+            sk.discretize(side_l, pitch)
 
 
 def test_barycenter_formula_and_tiling():

@@ -236,6 +236,27 @@ def test_cuts_out_of_range_extent_exit(scenario_file, tmp_path):
     assert code == 1
 
 
+_SIDE_ERROR = "panel side and pitch must be finite"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--side-l", "nan"], "error: " + _SIDE_ERROR),
+    (["design", "--side-l", "inf"], "error: " + _SIDE_ERROR),
+    (["cuts", "--side-l", "nan"], "error: " + _SIDE_ERROR),
+    (["cuts", "--side-l", "0.2", "--extent", "nan", "--points", "3"],
+     "error: cut extent must be finite"),
+    (["sweep", "--variable", "r_rx", "--values", "20", "--side-l", "inf"],
+     "GeometryError: " + _SIDE_ERROR),
+], ids=["design-nan-side", "design-inf-side", "cuts-nan-side", "cuts-nan-extent",
+        "sweep-inf-side"])
+def test_non_finite_geometry_exit(scenario_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    code = main(argv[:1] + ["--scenario", scenario_file, "--out", str(out)] + argv[1:])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.meta.json"))
+
+
 def test_cuts_ems_peak_dominates(scenario_file, tmp_path):
     out = tmp_path / "peaks"
     code = main(["cuts", "--scenario", scenario_file, "--side-l", "1.0",

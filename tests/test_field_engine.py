@@ -239,8 +239,9 @@ def test_cut_map_zero_currents(baseline):
 def test_cut_validation():
     with pytest.raises(sk.ConfigError):
         sk.FieldCut(plane="diagonal", half_extent=1.0)
-    with pytest.raises(sk.ConfigError):
-        sk.FieldCut(plane="transversal", half_extent=-1.0)
+    for extent in (-1.0, math.nan, math.inf):
+        with pytest.raises(sk.ConfigError):
+            sk.FieldCut(plane="transversal", half_extent=extent)
     with pytest.raises(sk.ConfigError):
         sk.FieldCut(plane="transversal", half_extent=1.0, points=0)
 

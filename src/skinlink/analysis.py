@@ -9,6 +9,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .aperture import discretize
 from .ems import ReflectionLookupTable, design_panel, ems_tpa, ems_upper_bound_tpa
 from .errors import DomainError, FresnelValidityError, SkinlinkError
 from .field_engine import fresnel_min_distance
@@ -16,7 +17,6 @@ from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, db
 
 SWEEP_VARIABLES = ("side_l", "r_rx", "theta0", "rho")
-_MARKER_TOL = 1e-3      # panel-side tolerance [m] of the marker bisection
 
 
 def l_threshold(scenario: LinkScenario) -> float:
@@ -147,8 +147,9 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
 
     The skin is re-synthesized (phase conjugation for the updated geometry) at
     every point. For a rho sweep both antenna distances are set to rho/2. For
-    sweeps over anything but side_l the panel side must be given. Fresnel
-    validity is reported in each row's fresnel_ok, not checked or warned about.
+    sweeps over anything but side_l a finite, positive panel side must be
+    given. Fresnel validity is reported in each row's fresnel_ok, not checked
+    or warned about.
     Per-point library errors are recorded in the row, prefixed with their type,
     and the sweep continues; any other exception propagates. Points run in a
     thread pool with deterministic, input-ordered results.
@@ -162,8 +163,9 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         raise DomainError("sweep values must be finite and positive")
     if sorted(values) != values:
         raise DomainError("sweep values must be sorted ascending")
-    if variable != "side_l" and side_l is None:
-        raise DomainError(f"a fixed panel side is required for a {variable} sweep")
+    if variable != "side_l" and not (side_l is not None and 0.0 < side_l < math.inf):
+        raise DomainError(f"a finite, positive fixed panel side is required "
+                          f"for a {variable} sweep")
 
     def one(value: float) -> TpaSweepRow:
         point_scenario = _scenario_for(scenario, variable, value)
@@ -194,6 +196,8 @@ class MarkerSet:
 
     l_th_ems: smallest side where the skin reaches the infinite-screen limit;
     l_pcs_ems: smallest side beyond which the skin beats the equal-size screen.
+    Each present marker is the side p*pitch of a whole panel of p cells, the
+    smallest winning one in its bracket, not an interpolated crossing.
     None marks an absent crossing.
     """
 
@@ -209,45 +213,41 @@ class MarkerSet:
         return self.l_pcs_ems is not None
 
 
-def _bisect_crossing(fn, lo: float, hi: float, f_lo: float) -> float:
-    while hi - lo > _MARKER_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
             table: ReflectionLookupTable, centered: bool = False) -> MarkerSet:
-    """Locate the crossing markers of a side_l sweep by bisection.
+    """Locate the crossing markers of a side_l sweep by an exact cell-count search.
 
-    Each bisection probe re-synthesizes the skin at the probed side. The
-    smallest bracketed upward crossing is refined to a side tolerance of 1 mm.
-    A missing bracket yields an absent marker, not an error.
+    Every side snaps to a whole number p of cells, so the search bisects p
+    between the first pair of adjacent rows that brackets an upward crossing.
+    Each probe re-synthesizes the skin at side p*pitch; no cell count is
+    evaluated twice, and the rows' own counts are never re-evaluated. A marker
+    is the side p*pitch of the smallest winning panel, so diff(p - 1) <= 0 <
+    diff(p), and `design --side-l` at that side reproduces it. A missing
+    bracket yields an absent marker, not an error.
     """
     usable = [r for r in rows if r.error is None and r.variable == "side_l"]
     if len(usable) < 3:
         raise DomainError("marker location needs at least three valid sweep rows")
 
-    cache: dict[float, tuple[float, float, float, float]] = {}
+    pitch = scenario.pitch
+    counts = [discretize(r.value, pitch).p_count for r in usable]
+    cache = {p: (r.a_pcs, r.a_ems, r.a_opt, r.a_inf) for p, r in zip(counts, usable)}
 
-    def point(length: float):
-        if length not in cache:
-            cache[length] = evaluate_point(scenario, length, table, centered)
-        return cache[length]
-
-    for row in usable:
-        cache[row.value] = (row.a_pcs, row.a_ems, row.a_opt, row.a_inf)
+    def point(p: int):
+        if p not in cache:
+            cache[p] = evaluate_point(scenario, p * pitch, table, centered)
+        return cache[p]
 
     def locate(diff) -> float | None:
-        for left, right in zip(usable, usable[1:]):
-            f_lo, f_hi = diff(point(left.value)), diff(point(right.value))
-            if f_lo < 0.0 < f_hi:
-                return _bisect_crossing(lambda L: diff(point(L)),
-                                        left.value, right.value, f_lo)
+        for lo, hi in zip(counts, counts[1:]):
+            if diff(cache[lo]) < 0.0 < diff(cache[hi]):
+                while hi - lo > 1:    # invariant: diff(lo) <= 0 < diff(hi)
+                    mid = (lo + hi) // 2
+                    if diff(point(mid)) > 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                return hi * pitch
         return None
 
     return MarkerSet(

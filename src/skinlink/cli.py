@@ -10,15 +10,14 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
-from .errors import ConfigError, FresnelValidityWarning, SkinlinkError
-from .field_engine import FieldCut, field_cut_map
+from .errors import ConfigError, SkinlinkError
+from .field_engine import FieldCut, check_fresnel, field_cut_map
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario
 
@@ -210,7 +209,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if good else EXIT_ERROR
 
 
-def _write_cut(out: Path, name: str, cut_map, cut: FieldCut, scenario) -> None:
+def _write_cut(out: Path, name: str, cut_map, scenario) -> None:
     lines = ["u_m,v_m,e_phi_abs_v_per_m,e_total_abs_v_per_m"]
     for i, u in enumerate(cut_map.u):
         for j, v in enumerate(cut_map.v):
@@ -219,8 +218,8 @@ def _write_cut(out: Path, name: str, cut_map, cut: FieldCut, scenario) -> None:
                                    _fmt(cut_map.e_total_abs[i, j])]))
     (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     sidecar = {
-        "plane": cut.plane,
-        "half_extent_m": cut.half_extent,
+        "plane": cut_map.cut.plane,
+        "half_extent_m": cut_map.cut.half_extent,
         "points": int(cut_map.u.size),
         "receiver_r_m": scenario.r_rx,
         "theta0_rad": scenario.theta0,
@@ -231,28 +230,27 @@ def _write_cut(out: Path, name: str, cut_map, cut: FieldCut, scenario) -> None:
 
 
 def cmd_cuts(args) -> int:
-    if args.plane not in ("transversal", "longitudinal", "both"):
-        raise SkinlinkError(f"unknown cut plane {args.plane!r}")
+    planes = ["transversal", "longitudinal"] if args.plane == "both" else [args.plane]
+    cuts = [FieldCut(plane=plane, half_extent=args.extent, points=args.points)
+            for plane in planes]
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
-    fresnel = "strict" if args.strict_fresnel else "warn"
     panel, _ = ems.design_panel(scenario, args.side_l, table,
                                 centered=args.centered_cells)
+    # every map shares the panel and the receiver, so one Fresnel check covers all
+    check_fresnel(panel.grid.side_l, scenario.wavelength, scenario.r_rx,
+                  "strict" if args.strict_fresnel else "warn")
     screens = {
         "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
         "ems": ems.gstc_currents(panel, scenario),
     }
-    planes = ["transversal", "longitudinal"] if args.plane == "both" else [args.plane]
+    maps = [(f"cuts_{screen}_{cut.plane}",
+             field_cut_map(currents, cut, scenario, fresnel="off"))
+            for cut in cuts for screen, currents in screens.items()]
     out = _outdir(args)
-    with warnings.catch_warnings():
-        if fresnel == "warn":
-            warnings.simplefilter("once", FresnelValidityWarning)
-        for plane in planes:
-            cut = FieldCut(plane=plane, half_extent=args.extent, points=args.points)
-            for screen, currents in screens.items():
-                cut_map = field_cut_map(currents, cut, scenario, fresnel=fresnel)
-                _write_cut(out, f"cuts_{screen}_{plane}", cut_map, cut, scenario)
-    print(f"wrote {len(planes) * len(screens)} cut maps")
+    for name, cut_map in maps:
+        _write_cut(out, name, cut_map, scenario)
+    print(f"wrote {len(maps)} cut maps")
     return EXIT_OK
 
 

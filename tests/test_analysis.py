@@ -125,6 +125,9 @@ def test_sweep_validation(baseline, table):
         sk.sweep(baseline, "side_l", [0.2, math.nan], table)
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "r_rx", [20.0], table)          # missing side
+    for side in (math.nan, math.inf, 0.0):
+        with pytest.raises(sk.DomainError, match="fixed panel side"):
+            sk.sweep(baseline, "r_rx", [20.0], table, side_l=side)
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "frequency", [1.0], table, side_l=0.5)
 
@@ -194,6 +197,37 @@ def test_markers_located(baseline, markers19):
     assert markers19.l_th_ems >= sk.l_threshold(baseline) - 1e-3
     assert markers19.l_pcs_ems_present
     assert markers19.l_pcs_ems <= markers19.l_th_ems + 0.2
+
+
+def test_markers_are_exact_panel_sides(baseline, table, markers19):
+    # each marker is the side of the smallest winning whole panel: p cells win,
+    # p - 1 cells do not
+    pitch = baseline.pitch
+    diffs = {"l_th_ems": lambda a: a[1] - a[3], "l_pcs_ems": lambda a: a[1] - a[0]}
+    for name, diff in diffs.items():
+        side = getattr(markers19, name)
+        p = round(side / pitch)
+        assert side == p * pitch
+        assert sk.discretize(side, pitch).p_count == p
+        assert diff(analysis.evaluate_point(baseline, (p - 1) * pitch, table)) <= 0.0
+        assert diff(analysis.evaluate_point(baseline, side, table)) > 0.0
+
+
+def test_markers_evaluate_each_cell_count_once(baseline, table, sweep19, monkeypatch):
+    probed = []
+    evaluate = analysis.evaluate_point
+
+    def counting(scenario, side_l, *args, **kwargs):
+        probed.append(sk.discretize(side_l, scenario.pitch).p_count)
+        return evaluate(scenario, side_l, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "evaluate_point", counting)
+    found = sk.markers(sweep19, baseline, table)
+    assert found.l_th_ems_present and found.l_pcs_ems_present
+    assert probed
+    assert len(set(probed)) == len(probed)
+    rows = {sk.discretize(r.value, baseline.pitch).p_count for r in sweep19}
+    assert rows.isdisjoint(probed)
 
 
 def test_markers_absent_without_crossing(baseline, table):

@@ -222,18 +222,23 @@ def test_cuts_zero_extent_single_point(scenario_file, tmp_path):
     assert len(lines) == 2
 
 
-def test_cuts_bad_plane_exit(scenario_file, tmp_path):
+def test_cuts_bad_plane_exit(scenario_file, tmp_path, capsys):
+    out = tmp_path / "o"
     code = main(["cuts", "--scenario", scenario_file, "--side-l", "0.2",
-                 "--plane", "diagonal", "--out", str(tmp_path / "o")])
+                 "--plane", "diagonal", "--out", str(out)])
     assert code == 1
+    assert "error: unknown cut plane 'diagonal'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cuts_out_of_range_extent_exit(scenario_file, tmp_path):
     # a cut larger than the receiver distance dips under the panel plane
+    out = tmp_path / "o"
     code = main(["cuts", "--scenario", scenario_file, "--side-l", "0.2",
                  "--plane", "longitudinal", "--extent", "40", "--points", "5",
-                 "--out", str(tmp_path / "o")])
+                 "--out", str(out)])
     assert code == 1
+    assert not out.exists()
 
 
 _SIDE_ERROR = "panel side and pitch must be finite"
@@ -246,7 +251,7 @@ _SIDE_ERROR = "panel side and pitch must be finite"
     (["cuts", "--side-l", "0.2", "--extent", "nan", "--points", "3"],
      "error: cut extent must be finite"),
     (["sweep", "--variable", "r_rx", "--values", "20", "--side-l", "inf"],
-     "GeometryError: " + _SIDE_ERROR),
+     "error: a finite, positive fixed panel side is required for a r_rx sweep"),
 ], ids=["design-nan-side", "design-inf-side", "cuts-nan-side", "cuts-nan-extent",
         "sweep-inf-side"])
 def test_non_finite_geometry_exit(scenario_file, tmp_path, capsys, argv, message):
@@ -254,7 +259,46 @@ def test_non_finite_geometry_exit(scenario_file, tmp_path, capsys, argv, message
     code = main(argv[:1] + ["--scenario", scenario_file, "--out", str(out)] + argv[1:])
     assert code == 1
     assert message in capsys.readouterr().err
-    assert not list(out.glob("*.meta.json"))
+    assert not out.exists()
+
+
+_NEAR_FIELD = ("observation at r = 2.000 m is inside the Fresnel bound 2.826 m "
+               "for L = 0.200 m")
+_FRESNEL_ARGV = {
+    "design": ["design", "--side-l", "0.2"],
+    "cuts": ["cuts", "--side-l", "0.2", "--extent", "0.5", "--points", "3"],
+}
+
+
+@pytest.fixture
+def near_scenario_file(tmp_path):
+    path = tmp_path / "near.cfg"
+    path.write_text(BASE_CONFIG.replace("r_rx_m = 15", "r_rx_m = 2"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(_FRESNEL_ARGV))
+def test_strict_fresnel_rejects_near_receiver(near_scenario_file, tmp_path, capsys,
+                                              command):
+    out = tmp_path / "o"
+    argv = _FRESNEL_ARGV[command]
+    code = main(argv[:1] + ["--scenario", near_scenario_file, "--out", str(out),
+                            "--strict-fresnel"] + argv[1:])
+    assert code == 1
+    assert "error: " + _NEAR_FIELD in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_FRESNEL_ARGV))
+def test_near_receiver_warns_once(near_scenario_file, tmp_path, command):
+    out = tmp_path / "o"
+    argv = _FRESNEL_ARGV[command]
+    with pytest.warns(sk.FresnelValidityWarning) as record:
+        code = main(argv[:1] + ["--scenario", near_scenario_file, "--out", str(out)]
+                    + argv[1:])
+    assert code == 0
+    assert len(record) == 1
+    assert out.exists()
 
 
 def test_cuts_ems_peak_dominates(scenario_file, tmp_path):

@@ -147,9 +147,9 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
 
     The skin is re-synthesized (phase conjugation for the updated geometry) at
     every point. For a rho sweep both antenna distances are set to rho/2. For
-    sweeps over anything but side_l a finite, positive panel side must be
-    given. Fresnel validity is reported in each row's fresnel_ok, not checked
-    or warned about.
+    sweeps over anything but side_l a finite panel side of at least one cell
+    must be given. Fresnel validity is reported in each row's fresnel_ok, not
+    checked or warned about.
     Per-point library errors are recorded in the row, prefixed with their type,
     and the sweep continues; any other exception propagates. Points run in a
     thread pool with deterministic, input-ordered results.
@@ -163,9 +163,14 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         raise DomainError("sweep values must be finite and positive")
     if sorted(values) != values:
         raise DomainError("sweep values must be sorted ascending")
-    if variable != "side_l" and not (side_l is not None and 0.0 < side_l < math.inf):
-        raise DomainError(f"a finite, positive fixed panel side is required "
-                          f"for a {variable} sweep")
+    if variable != "side_l":
+        if not (side_l is not None and 0.0 < side_l < math.inf):
+            raise DomainError(f"a finite, positive fixed panel side is required "
+                              f"for a {variable} sweep")
+        # the pitch does not change along the sweep, so every point would fail
+        if side_l < scenario.pitch:
+            raise DomainError(f"fixed panel side {side_l} m is smaller than one cell "
+                              f"({scenario.pitch} m)")
 
     def one(value: float) -> TpaSweepRow:
         point_scenario = _scenario_for(scenario, variable, value)

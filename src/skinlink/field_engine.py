@@ -7,7 +7,16 @@ cross-check the closed-form cell sum.
 
 One kernel, _cell_sum, evaluates the cell sum at a batch of points; both
 scattered_field (one point) and scattered_field_at_points (chunks) call it.
-The oracle keeps its own transcription so that it stays an independent check.
+It never forms the (points x cells) phasor block. The Fresnel path term
+splits exactly into a row part f(x), a column part g(y) and a cross term
+kappa*x*y, so each point needs P + Q exponentials, and the cross term is a
+short Taylor series over blocks of rows, sized from its phase. The cross term
+vanishes at phi = 0, which covers every receiver_tpa call and the
+longitudinal cut; there the sum is one outer product. A batch is contracted
+with matrix products, a single point with numpy's pairwise sums, so that one
+point never wakes the BLAS threads. beta keeps the unsplit path term that
+synthesis uses. The oracle keeps its own transcription so that it stays an
+independent check.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .errors import (ConfigError, DomainError, FresnelValidityError,
                      FresnelValidityWarning, GeometryError)
 
 _POINT_CHUNK = 256                 # observation points per vectorized chunk
+_TAYLOR_TOL = 1e-16                # remainder bound of the cross-term series
 
 
 @dataclass(frozen=True)
@@ -59,10 +69,12 @@ class ObservationPoint:
     phi: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise GeometryError("observation distance must be positive")
+        if not 0.0 < self.r < math.inf:  # NaN fails too
+            raise GeometryError("observation distance must be finite and positive")
         if not 0.0 <= self.theta <= math.pi / 2:
             raise GeometryError("observation polar angle must lie in the reflection half-space")
+        if not math.isfinite(self.phi):
+            raise GeometryError("observation azimuth must be finite")
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -87,17 +99,6 @@ def sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def _path_term(x, y, r, s, c, sp, cp):
-    """Fresnel path-length term [m] of in-plane points (x, y) toward a direction.
-
-    r is the observation distance, (s, c) = (sin, cos) of its polar angle and
-    (sp, cp) = (sin, cos) of its azimuth; all arguments broadcast.
-    """
-    return (x * s * cp + y * s * sp
-            - c * c * (x * x + y * y) / (2.0 * r)
-            - (x * s * sp - y * s * cp) ** 2 / (2.0 * r))
-
-
 def beta(cell, obs: ObservationPoint):
     """Fresnel path-length term [m] of a cell barycenter toward an observation point.
 
@@ -105,8 +106,12 @@ def beta(cell, obs: ObservationPoint):
     """
     x = np.asarray(cell[0], dtype=float)
     y = np.asarray(cell[1], dtype=float)
-    return _path_term(x, y, obs.r, math.sin(obs.theta), math.cos(obs.theta),
-                      math.sin(obs.phi), math.cos(obs.phi))
+    r = obs.r
+    s, c = math.sin(obs.theta), math.cos(obs.theta)
+    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
+    return (x * s * cp + y * s * sp
+            - c * c * (x * x + y * y) / (2.0 * r)
+            - (x * s * sp - y * s * cp) ** 2 / (2.0 * r))
 
 
 def fresnel_min_distance(side_l: float, wavelength: float) -> float:
@@ -150,32 +155,85 @@ def bracket_weights(theta, phi):
     return w_theta, w_phi
 
 
+def _contract(a, col, b):
+    """sum_pq a[n, p] * col[p, q] * b[n, q] for each of N points, shape (N,).
+
+    A batch of points is a matrix product. A single point uses numpy's
+    pairwise sums instead: a BLAS call would spin up its threads for one
+    point, which inside the sweep's thread pool costs more than the sum.
+    """
+    if a.shape[0] == 1:
+        return ((col * b).sum(axis=1) * a[0]).sum(keepdims=True)
+    return ((a @ col) * b).sum(axis=1)
+
+
 def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     """The radiation sum at N points given by (r, theta, phi) arrays of shape (N,).
 
-    Builds the (N, M) phasor block exp(j k beta) over the M cells and reduces
-    it against each current column with numpy's pairwise sum, one column at a
-    time: a BLAS product would spin up its threads on every one-point call.
-    The (N, 4) column sums are projected onto each point's theta-hat/phi-hat
-    bracket weights under the prefactor with the per-cell sinc element
-    factors. Returns (e_theta, e_phi), each of shape (N,).
+    The path term splits exactly as beta = f(x) + g(y) + kappa*x*y with
+    kappa = sin^2(theta) sin(phi) cos(phi) / r, so exp(j k beta) is the
+    product of a = exp(j k f(x)) over the P rows, b = exp(j k g(y)) over the
+    Q columns and the cross term exp(j k kappa x y): P + Q exponentials per
+    point instead of P*Q.
+
+    The cross term is expanded in a Taylor series. The rows are split into
+    blocks centred at x0; kappa*x0*y folds into each block's b, and the rest
+    is sum_n (j k kappa hx hy)^n / n! * u^n v^n with u = (x - x0)/hx and
+    v = y/hy in [-1, 1], where hx is the blocks' half-span and hy = L/2. The
+    block count is ceil(t) of the whole panel, so that t = |k kappa| hx hy
+    <= 1 rad in every block for every point of the batch, and the rank R is
+    the smallest with t^R / R! <= 1e-16 (R = 19 at 1 rad). Where kappa is 0
+    (phi = 0: every receiver_tpa call and the longitudinal cut) that is one
+    block of rank 1, the outer product a b; where kappa is at rounding level
+    (phi = pi or +-pi/2, whose sine or cosine is about 1e-16) it is one block
+    of rank 1 or 2.
+
+    The (N, 4) current-column sums are projected onto each point's
+    theta-hat/phi-hat bracket weights under the prefactor with the per-cell
+    sinc element factors. Returns (e_theta, e_phi), each of shape (N,).
     """
     grid = currents.grid
-    X, Y = grid.cell_grid()
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     k = 2.0 * math.pi / wavelength
-    b = _path_term(X.reshape(-1), Y.reshape(-1), r[:, None], st[:, None],
-                   ct[:, None], sp[:, None], cp[:, None])
-    phase = np.exp(1j * k * b)
-    sums = np.stack([(phase * col.reshape(-1)).sum(axis=1)
-                     for col in (currents.je_x, currents.je_y,
-                                 currents.jm_x, currents.jm_y)], axis=1)
-    w_theta, w_phi = bracket_weights(theta, phi)
     pre = (-1j * np.exp(-1j * k * r) / (2.0 * wavelength * r)
            * grid.pitch**2
            * sinc(math.pi * grid.pitch * st * cp / wavelength)
            * sinc(math.pi * grid.pitch * st * sp / wavelength))
+    w_theta, w_phi = bracket_weights(theta, phi)
+
+    x, y = grid.x_centers, grid.y_centers
+    r, st, ct, sp, cp = (v[:, None] for v in (r, st, ct, sp, cp))
+    kappa = st * st * sp * cp / r
+    a = np.exp(1j * k * (x * st * cp - x * x * (ct * ct + (st * sp) ** 2) / (2.0 * r)))
+    g = y * st * sp - y * y * (ct * ct + (st * cp) ** 2) / (2.0 * r)
+    cols = (currents.je_x, currents.je_y, currents.jm_x, currents.jm_y)
+
+    p_count = grid.p_count
+    hy = grid.side_l / 2.0
+    k_kappa = k * float(np.abs(kappa).max())
+    t_panel = k_kappa * (p_count - 1) * grid.pitch / 2.0 * hy
+    # t_panel is not finite only for r near 0; blocks of one row are exact for any kappa
+    blocks = min(p_count, max(1, math.ceil(t_panel))) if math.isfinite(t_panel) else p_count
+    rows = -(-p_count // blocks)
+    t = k_kappa * (rows - 1) * grid.pitch / 2.0 * hy
+    rank, term = 1, t
+    while term > _TAYLOR_TOL:
+        rank += 1
+        term *= t / rank
+
+    sums = np.zeros((r.shape[0], 4), dtype=complex)
+    for start in range(0, p_count, rows):
+        blk = slice(start, start + rows)
+        x0 = (x[blk][0] + x[blk][-1]) / 2.0
+        a_n = a[:, blk]
+        b_n = np.exp(1j * k * (g + kappa * x0 * y))
+        for n in range(rank):
+            if n:  # term n of the series, split as (j k kappa hy (x - x0))^n / n! * (y/hy)^n
+                a_n = a_n * (1j * k * hy / n) * kappa * (x[blk] - x0)
+                b_n = b_n * (y / hy)
+            sums += np.stack([_contract(a_n, col[blk], b_n) for col in cols], axis=1)
+
     return pre * (sums * w_theta).sum(axis=1), pre * (sums * w_phi).sum(axis=1)
 
 
@@ -197,12 +255,14 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
                               wavelength: float):
     """Vectorized scattered field at Cartesian points of shape (N, 3).
 
-    Returns (e_theta, e_phi) arrays of shape (N,). Points must lie in the
-    reflection half-space z > 0. No Fresnel check is applied here; callers
-    sampling maps validate their cut definition instead. Points are summed
-    _POINT_CHUNK at a time to bound the phasor block's memory.
+    Returns (e_theta, e_phi) arrays of shape (N,). Points must be finite and
+    lie in the reflection half-space z > 0. No Fresnel check is applied here;
+    callers sampling maps validate their cut definition instead. Points are
+    summed _POINT_CHUNK at a time, which bounds the per-point factor arrays.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("observation points must be finite")
     if np.any(pts[:, 2] <= 0.0):
         raise GeometryError("observation points must lie in the half-space z > 0")
     r = np.linalg.norm(pts, axis=1)

@@ -128,6 +128,9 @@ def test_sweep_validation(baseline, table):
     for side in (math.nan, math.inf, 0.0):
         with pytest.raises(sk.DomainError, match="fixed panel side"):
             sk.sweep(baseline, "r_rx", [20.0], table, side_l=side)
+    for variable, value in (("r_rx", 20.0), ("theta0", 0.5), ("rho", 30.0)):
+        with pytest.raises(sk.DomainError, match="smaller than one cell"):
+            sk.sweep(baseline, variable, [value], table, side_l=0.5 * baseline.pitch)
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "frequency", [1.0], table, side_l=0.5)
 

@@ -252,8 +252,10 @@ _SIDE_ERROR = "panel side and pitch must be finite"
      "error: cut extent must be finite"),
     (["sweep", "--variable", "r_rx", "--values", "20", "--side-l", "inf"],
      "error: a finite, positive fixed panel side is required for a r_rx sweep"),
+    (["sweep", "--variable", "r_rx", "--values", "20,30", "--side-l", "0.001"],
+     "error: fixed panel side 0.001 m is smaller than one cell"),
 ], ids=["design-nan-side", "design-inf-side", "cuts-nan-side", "cuts-nan-extent",
-        "sweep-inf-side"])
+        "sweep-inf-side", "sweep-subcell-side"])
 def test_non_finite_geometry_exit(scenario_file, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     code = main(argv[:1] + ["--scenario", scenario_file, "--out", str(out)] + argv[1:])

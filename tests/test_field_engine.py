@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import skinlink as sk
 
@@ -58,6 +60,23 @@ def test_observation_point_validation():
         sk.ObservationPoint(r=0.0, theta=0.3, phi=0.0)
     with pytest.raises(sk.GeometryError):
         sk.ObservationPoint(r=1.0, theta=2.0, phi=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(sk.GeometryError):
+            sk.ObservationPoint(r=bad, theta=0.3, phi=0.0)
+        with pytest.raises(sk.GeometryError):
+            sk.ObservationPoint(r=1.0, theta=bad, phi=0.0)
+        with pytest.raises(sk.GeometryError, match="azimuth must be finite"):
+            sk.ObservationPoint(r=1.0, theta=0.3, phi=bad)
+
+
+def test_non_finite_points_rejected():
+    currents = random_currents(sk.discretize(4 * DELTA, DELTA))
+    for bad in (math.nan, math.inf, -math.inf):
+        for axis in range(3):
+            pts = np.array([[0.1, 0.2, 5.0], [0.0, 0.0, 4.0]])
+            pts[1, axis] = bad
+            with pytest.raises(sk.GeometryError, match="must be finite"):
+                sk.scattered_field_at_points(currents, pts, LAMBDA)
 
 
 def test_scattered_zero_currents():
@@ -200,6 +219,23 @@ def test_oracle_agreement_random_currents():
         assert relative_error(closed, oracle) < 1e-3
 
 
+def dense_field(currents, obs, wavelength, path=sk.beta):
+    """(e_theta, e_phi) with one exp(j k path) per cell: the cell sum written out."""
+    grid = currents.grid
+    k = 2.0 * math.pi / wavelength
+    s, ct = math.sin(obs.theta), math.cos(obs.theta)
+    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
+    pre = (-1j * np.exp(-1j * k * obs.r) / (2.0 * wavelength * obs.r) * grid.pitch**2
+           * sk.sinc(math.pi * grid.pitch * s * cp / wavelength)
+           * sk.sinc(math.pi * grid.pitch * s * sp / wavelength))
+    phase = np.exp(1j * k * path(grid.cell_grid(), obs))
+    bth = (sk.ETA0 * ct * cp * currents.je_x + sk.ETA0 * ct * sp * currents.je_y
+           - sp * currents.jm_x + cp * currents.jm_y)
+    bph = (-sk.ETA0 * sp * currents.je_x + sk.ETA0 * cp * currents.je_y
+           + ct * cp * currents.jm_x + ct * sp * currents.jm_y)
+    return complex(pre * (phase * bth).sum()), complex(pre * (phase * bph).sum())
+
+
 def test_far_field_linear_phase_reduction():
     grid = sk.discretize(8 * DELTA, DELTA)
     currents = random_currents(grid, seed=5)
@@ -207,25 +243,57 @@ def test_far_field_linear_phase_reduction():
     full = sk.scattered_field(currents, obs, LAMBDA)
 
     # independent sum with the phase term truncated to its linear part
-    X, Y = grid.cell_grid()
-    s = math.sin(obs.theta)
-    lin = X * s * math.cos(obs.phi) + Y * s * math.sin(obs.phi)
-    k = 2.0 * math.pi / LAMBDA
-    ct = math.cos(obs.theta)
-    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
-    pre = (-1j * np.exp(-1j * k * obs.r) / (2.0 * LAMBDA * obs.r) * grid.pitch**2
-           * sk.sinc(math.pi * grid.pitch * s * cp / LAMBDA)
-           * sk.sinc(math.pi * grid.pitch * s * sp / LAMBDA))
-    phase = np.exp(1j * k * lin)
-    bth = (sk.ETA0 * ct * cp * currents.je_x + sk.ETA0 * ct * sp * currents.je_y
-           - sp * currents.jm_x + cp * currents.jm_y)
-    bph = (-sk.ETA0 * sp * currents.je_x + sk.ETA0 * cp * currents.je_y
-           + ct * cp * currents.jm_x + ct * sp * currents.jm_y)
-    linear = sk.ScatteredField(e_theta=pre * (phase * bth).sum(),
-                               e_phi=pre * (phase * bph).sum())
+    def linear_path(cell, o):
+        s = math.sin(o.theta)
+        return cell[0] * s * math.cos(o.phi) + cell[1] * s * math.sin(o.phi)
+
+    linear = sk.ScatteredField(*dense_field(currents, obs, LAMBDA, path=linear_path))
     full_mag = math.hypot(abs(full.e_theta), abs(full.e_phi))
     lin_mag = math.hypot(abs(linear.e_theta), abs(linear.e_phi))
     assert abs(full_mag - lin_mag) < 1e-6 * full_mag
+
+
+def spherical(pts):
+    """(r, theta, phi) rows of Cartesian points, derived as the batch kernel derives them."""
+    return np.stack([np.linalg.norm(pts, axis=1),
+                     np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]),
+                     np.arctan2(pts[:, 1], pts[:, 0])], axis=1)
+
+
+_PHI = st.one_of(st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2]),
+                 st.floats(-math.pi, math.pi, exclude_min=True))
+# r from two panel sides, where the cross term needs several row blocks
+_POINT = st.tuples(st.floats(2.0, 1e3), st.floats(0.0, math.pi / 2), _PHI)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@settings(max_examples=25, deadline=None)
+@given(cells=st.integers(1, 180), centered=st.booleans(),
+       points=st.lists(_POINT, min_size=7, max_size=7), seed=st.integers(0, 2**32 - 1))
+@example(cells=1, centered=True, points=[(2.0, 0.7, 0.4)] * 7, seed=0)  # x = y = 0
+def test_kernel_matches_dense_exponentials(count, cells, centered, points, seed):
+    """The separable kernel matches one exp(j k beta) per cell, point by point and batched."""
+    # 27 GHz: one cell is 5.6 mm, 180 cells are 1.0 m
+    grid = sk.discretize(cells * DELTA, DELTA, centered=centered)
+    currents = random_currents(grid, seed=seed)
+    observations = [sk.ObservationPoint(r=m * grid.side_l, theta=theta, phi=phi)
+                    for m, theta, phi in points[:count]]
+    pts = np.array([obs.cartesian for obs in observations]).reshape(-1, 3)
+    e_theta, e_phi = sk.scattered_field_at_points(currents, pts, LAMBDA)
+    assert e_theta.shape == e_phi.shape == (count,)
+    derived = [sk.ObservationPoint(*map(float, row)) for row in spherical(pts)]
+
+    checks = []   # (kernel value, reference value) pairs of field components
+    for obs in observations:
+        single = sk.scattered_field(currents, obs, LAMBDA, fresnel="off")
+        checks += zip((single.e_theta, single.e_phi), dense_field(currents, obs, LAMBDA))
+    for i, obs in enumerate(derived):
+        single = sk.scattered_field(currents, obs, LAMBDA, fresnel="off")
+        checks += zip((e_theta[i], e_phi[i]), dense_field(currents, obs, LAMBDA))
+        checks += [(e_theta[i], single.e_theta), (e_phi[i], single.e_phi)]
+    scale = max((abs(ref) for _, ref in checks), default=0.0)
+    for value, ref in checks:
+        assert abs(value - ref) <= 1e-12 * scale
 
 
 def test_cut_map_zero_currents(baseline):

@@ -13,8 +13,8 @@ from .analysis import (DeltaMetrics, MarkerSet, OptimalityInterval, TpaSweepRow,
 from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
                        import_layout, scenario_fingerprint)
 from .constants import C0, EPS0, ETA0, MU0
-from .ems import (EmsPanel, ReflectionLookupTable, TargetPhases, design_panel,
-                  ems_tpa, ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
+from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_tpa,
+                  ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
                   load_reflection_table, parse_reflection_table, predicted_phase,
                   reflection_currents, save_reflection_table, synthesis_mismatch,
                   synthesize_layout, synthetic_table, wrap_phase)

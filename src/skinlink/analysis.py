@@ -121,8 +121,8 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
     Fresnel validity is left to the caller (sweep reports it as fresnel_ok).
     """
     panel, _ = design_panel(scenario, side_l, table, centered=centered)
-    a_ems = ems_tpa(scenario, panel, fresnel="off")
-    a_pcs = pcs_tpa(scenario, side_l, centered=centered, fresnel="off")
+    a_ems = ems_tpa(scenario, panel)
+    a_pcs = pcs_tpa(scenario, side_l, centered=centered)
     return (a_pcs, a_ems,
             ems_upper_bound_tpa(scenario, panel.grid.side_l),
             pcs_asymptotic_tpa(scenario))

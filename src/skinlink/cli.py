@@ -2,6 +2,11 @@
 
 All file artifacts are deterministic: identical configs and inputs produce
 byte-identical outputs (no timestamps inside data files).
+
+The Fresnel check lives here: the receiver's validity is fixed by the link,
+so design and cuts check it once, after building the panel, and sweep reports
+it per row. The library's attenuation functions only evaluate. Each
+subcommand accepts only the flags it reads; a usage error exits 1.
 """
 
 from __future__ import annotations
@@ -28,32 +33,35 @@ EXIT_EMPTY_INTERVAL = 2
 _NEAR_GRAZING = math.radians(85.0)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", required=True, help="scenario config file")
-    parser.add_argument("--table", default="synthetic",
-                        help="reflection table CSV path, or 'synthetic' (default)")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--strict-fresnel", action="store_true",
-                        help="reject Fresnel-invalid geometry instead of warning")
-    parser.add_argument("--centered-cells", action="store_true",
-                        help="shift cell barycenters by half a pitch into the cells")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1 through main, not 2 from argparse
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skinlink",
         description="NLOS specular link analysis with passive reflective screens")
     sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {name: sub.add_parser(name, help=text) for name, text in [
+        ("thresholds", "closed-form panel sizing interval"),
+        ("design", "synthesize a skin layout"),
+        ("sweep", "sweep a scenario variable and tabulate TPA"),
+        ("cuts", "field-magnitude maps around the receiver")]}
+    for p in cmd.values():
+        p.add_argument("--scenario", required=True, help="scenario config file")
+        p.add_argument("--out", default=".", help="output directory")
+    for name in ("design", "sweep", "cuts"):    # the commands that synthesize skins
+        cmd[name].add_argument("--table", default="synthetic",
+                               help="reflection table CSV path, or 'synthetic' (default)")
+        cmd[name].add_argument("--centered-cells", action="store_true",
+                               help="shift cell barycenters by half a pitch into the cells")
+    for name in ("design", "cuts"):             # one panel, one receiver check
+        cmd[name].add_argument("--side-l", type=float, required=True, help="panel side [m]")
+        cmd[name].add_argument("--strict-fresnel", action="store_true",
+                               help="reject Fresnel-invalid geometry instead of warning")
 
-    p = sub.add_parser("thresholds", help="closed-form panel sizing interval")
-    _add_common(p)
-
-    p = sub.add_parser("design", help="synthesize a skin layout")
-    _add_common(p)
-    p.add_argument("--side-l", type=float, required=True, help="panel side [m]")
-
-    p = sub.add_parser("sweep", help="sweep a scenario variable and tabulate TPA")
-    _add_common(p)
+    p = cmd["sweep"]
     p.add_argument("--variable", default="side_l",
                    help=f"one of {', '.join(analysis.SWEEP_VARIABLES)}")
     p.add_argument("--values", required=True,
@@ -61,9 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side-l", type=float, default=None,
                    help="fixed panel side [m] (required unless sweeping side_l)")
 
-    p = sub.add_parser("cuts", help="field-magnitude maps around the receiver")
-    _add_common(p)
-    p.add_argument("--side-l", type=float, required=True, help="panel side [m]")
+    p = cmd["cuts"]
     p.add_argument("--plane", default="both",
                    help="transversal, longitudinal or both")
     p.add_argument("--extent", type=float, default=3.0,
@@ -93,6 +99,12 @@ def _load_table(arg: str) -> ems.ReflectionLookupTable:
     if arg == "synthetic":
         return ems.synthetic_table()
     return ems.load_reflection_table(arg)
+
+
+def _check_receiver(args, scenario: LinkScenario, panel: ems.EmsPanel) -> None:
+    """The command's one Fresnel check: the receiver against the snapped panel side."""
+    check_fresnel(panel.grid.side_l, scenario.wavelength, scenario.r_rx,
+                  "strict" if args.strict_fresnel else "warn")
 
 
 def _outdir(args) -> Path:
@@ -141,13 +153,13 @@ def _ring_count(matrix: np.ndarray, g_lo: float, g_hi: float) -> int:
 def cmd_design(args) -> int:
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
-    fresnel = "strict" if args.strict_fresnel else "warn"
     panel, targets = ems.design_panel(scenario, args.side_l, table,
                                       centered=args.centered_cells)
+    _check_receiver(args, scenario, panel)
     phi = ems.synthesis_mismatch(panel.grid, table, panel.d, targets, scenario)
-    a_ems = ems.ems_tpa(scenario, panel, fresnel=fresnel)
+    a_ems = ems.ems_tpa(scenario, panel)
     a_opt = ems.ems_upper_bound_tpa(scenario, panel.grid.side_l)
-    a_pcs = pcs_tpa(scenario, args.side_l, centered=args.centered_cells, fresnel="off")
+    a_pcs = pcs_tpa(scenario, args.side_l, centered=args.centered_cells)
     rings = _ring_count(panel.d.values, *table.g_range)
 
     out = _outdir(args)
@@ -238,8 +250,7 @@ def cmd_cuts(args) -> int:
     panel, _ = ems.design_panel(scenario, args.side_l, table,
                                 centered=args.centered_cells)
     # every map shares the panel and the receiver, so one Fresnel check covers all
-    check_fresnel(panel.grid.side_l, scenario.wavelength, scenario.r_rx,
-                  "strict" if args.strict_fresnel else "warn")
+    _check_receiver(args, scenario, panel)
     screens = {
         "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
         "ems": ems.gstc_currents(panel, scenario),
@@ -255,8 +266,6 @@ def cmd_cuts(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "thresholds": cmd_thresholds,
         "design": cmd_design,
@@ -264,11 +273,9 @@ def main(argv=None) -> int:
         "cuts": cmd_cuts,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except SkinlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SkinlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -87,11 +87,11 @@ class ReflectionLookupTable:
         qc = np.clip(np.asarray(g_query, dtype=float), *self.g_range)
         return self._interp_column(self.gamma_xx, qc), self._interp_column(self.gamma_yy, qc)
 
-    def dense_grid(self, resolution: float = 1e-6):
-        """Geometry values at the given resolution plus interpolated gamma_yy."""
+    def dense_grid(self):
+        """Geometry values at the synthesis resolution plus interpolated gamma_yy."""
         lo, hi = self.g_range
-        steps = int(math.floor((hi - lo) / resolution + 0.5))
-        g_fine = lo + np.arange(steps + 1) * resolution
+        steps = int(math.floor((hi - lo) / _SYNTHESIS_RESOLUTION + 0.5))
+        g_fine = lo + np.arange(steps + 1) * _SYNTHESIS_RESOLUTION
         g_fine[-1] = min(g_fine[-1], hi)
         return g_fine, self._interp_column(self.gamma_yy, g_fine)
 
@@ -171,19 +171,6 @@ def parse_reflection_table(text: str) -> ReflectionLookupTable:
 
 
 @dataclass(frozen=True)
-class TargetPhases:
-    """Per-cell ideal current phases [rad], wrapped to (-pi, pi], indexed [p, q]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise LayoutError("target phases must form a P x Q matrix")
-        if np.any(self.values <= -math.pi - 1e-12) or np.any(self.values > math.pi + 1e-12):
-            raise DomainError("target phases must be wrapped to (-pi, pi]")
-
-
-@dataclass(frozen=True)
 class EmsPanel:
     """A synthesized skin: grid, descriptor vector and the table it was built from."""
 
@@ -228,12 +215,13 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
                            jm_x=-2.0 * e_av_y, jm_y=2.0 * e_av_x, grid=grid)
 
 
-def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> TargetPhases:
-    """Phase-conjugation targets: minus the receiver-path phase of each cell."""
-    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=scenario.phi_rx)
+def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarray:
+    """Phase-conjugation targets: minus the receiver-path phase of each cell,
+    as (P, Q) phases [rad] wrapped to (-pi, pi] and indexed [p, q]."""
+    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
     X, Y = grid.cell_grid()
     k = 2.0 * math.pi / scenario.wavelength
-    return TargetPhases(values=wrap_phase(-k * beta((X, Y), obs)))
+    return wrap_phase(-k * beta((X, Y), obs))
 
 
 def predicted_phase(table: ReflectionLookupTable, g_values, scenario: LinkScenario,
@@ -266,35 +254,35 @@ def _nearest_candidate(cand: np.ndarray, need: np.ndarray):
 
 
 def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
-                      targets: TargetPhases, scenario: LinkScenario) -> DescriptorVector:
+                      targets: np.ndarray, scenario: LinkScenario) -> DescriptorVector:
     """Pick each cell's geometry to best match its target current phase.
 
     The mismatch functional separates cell by cell, so the exact minimizer is
     a per-cell nearest-phase lookup over the table interpolated at a 1 um
     geometry resolution. Matching targets the y-polarized electric current.
     """
-    if targets.values.shape != (grid.p_count, grid.q_count):
+    if targets.shape != (grid.p_count, grid.q_count):
         raise LayoutError("target phases do not match the grid")
-    g_fine, gyy_fine = table.dense_grid(_SYNTHESIS_RESOLUTION)
+    g_fine, gyy_fine = table.dense_grid()
     cand = np.angle(1.0 - gyy_fine)
     _, h_inc = incident_fields(scenario, *grid.cell_grid())
-    need = wrap_phase(targets.values - np.angle(h_inc[0]))
+    need = wrap_phase(targets - np.angle(h_inc[0]))
     idx, _ = _nearest_candidate(cand, need)
     return DescriptorVector(side_l=grid.side_l, values=g_fine[idx])
 
 
 def synthesis_mismatch(grid: ApertureGrid, table: ReflectionLookupTable,
-                       d: DescriptorVector, targets: TargetPhases,
+                       d: DescriptorVector, targets: np.ndarray,
                        scenario: LinkScenario) -> float:
     """Total squared wrapped phase error of a layout against its targets [rad^2]."""
     pred = predicted_phase(table, d.values, scenario, grid)
-    err = wrap_phase(pred - targets.values)
+    err = wrap_phase(pred - targets)
     return float(np.sum(err * err))
 
 
 def design_panel(scenario: LinkScenario, side_l: float,
                  table: ReflectionLookupTable, centered: bool = False):
-    """Discretize, target and synthesize a skin; returns (EmsPanel, TargetPhases)."""
+    """Discretize, target and synthesize a skin; returns (EmsPanel, target phases)."""
     grid = discretize(side_l, scenario.pitch, centered=centered)
     targets = ideal_current_phases(grid, scenario)
     d = synthesize_layout(grid, table, targets, scenario)
@@ -307,9 +295,10 @@ def gstc_currents(panel: EmsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     return reflection_currents(panel.grid, scenario, gxx, gyy)
 
 
-def ems_tpa(scenario: LinkScenario, panel: EmsPanel, fresnel: str = "warn") -> float:
-    """Realized skin path attenuation P_rx/P_tx at the specular receiver."""
-    return receiver_tpa(gstc_currents(panel, scenario), scenario, fresnel=fresnel)
+def ems_tpa(scenario: LinkScenario, panel: EmsPanel) -> float:
+    """Realized skin path attenuation P_rx/P_tx at the specular receiver;
+    evaluates only, the Fresnel check is the command's (see receiver_tpa)."""
+    return receiver_tpa(gstc_currents(panel, scenario), scenario)
 
 
 def ems_upper_bound_tpa(scenario: LinkScenario, side_l: float) -> float:

@@ -285,10 +285,14 @@ def received_power(field: ScatteredField, g_rx: float, wavelength: float) -> flo
             / (8.0 * math.pi * ETA0))
 
 
-def receiver_tpa(currents: SurfaceCurrents, scenario, fresnel: str = "warn") -> float:
-    """Path attenuation P_rx/P_tx of the currents at the scenario's specular receiver."""
-    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=scenario.phi_rx)
-    field = scattered_field(currents, obs, scenario.wavelength, fresnel=fresnel)
+def receiver_tpa(currents: SurfaceCurrents, scenario) -> float:
+    """Path attenuation P_rx/P_tx of the currents at the scenario's specular receiver.
+
+    Evaluates only. The receiver's Fresnel validity is fixed by the link, so
+    the design and cuts commands check it once (cli) and sweep reports it per row.
+    """
+    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
+    field = scattered_field(currents, obs, scenario.wavelength, fresnel="off")
     return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
 
 

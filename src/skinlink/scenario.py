@@ -9,7 +9,7 @@ polarized along the panel y axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class LinkScenario:
     """One specular NLOS link: carrier, powers, gains and bounce geometry.
 
     Gains are linear (dimensionless), angles in radians, SI units throughout.
-    phi_rx, the receiver azimuth, is fixed by the specular-plane convention.
     """
 
     f: float                      # carrier frequency [Hz]
@@ -47,7 +46,6 @@ class LinkScenario:
     r_rx: float                   # receiver distance from panel center [m]
     theta0: float                 # specular polar angle [rad]
     delta: float | None = None    # optional cell pitch override [m]
-    phi_rx: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         for name in ("f", "p_tx", "g_tx", "g_rx", "r_tx", "r_rx", "theta0", "delta"):

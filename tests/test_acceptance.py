@@ -121,8 +121,8 @@ def test_criterion_8_pec_degeneration():
             theta0=float(rng.uniform(0.0, math.radians(55.0))))
         side = float(rng.uniform(0.1, 0.5))
         panel, _ = sk.design_panel(s, side, pec)
-        a_ems = sk.ems_tpa(s, panel, fresnel="off")
-        a_pcs = sk.pcs_tpa(s, side, fresnel="off")
+        a_ems = sk.ems_tpa(s, panel)
+        a_pcs = sk.pcs_tpa(s, side)
         worst = max(worst, abs(a_ems - a_pcs) / a_pcs)
     verdict(8, worst <= 1e-12,
             f"gamma = -1 skin equals the conducting screen, worst {worst:.2e}")
@@ -150,7 +150,7 @@ def test_criterion_10_angle_ordering(table):
     for theta_deg in (20.0, 30.0, 45.0):
         s = make_scenario(g_dbi=25.5, theta0_deg=theta_deg)
         panel, _ = sk.design_panel(s, 1.0, table)
-        tpa[theta_deg] = sk.db(sk.ems_tpa(s, panel, fresnel="off"))
+        tpa[theta_deg] = sk.db(sk.ems_tpa(s, panel))
     ok = tpa[20.0] > tpa[30.0] > tpa[45.0]
     verdict(10, ok, f"attenuation ordering over incidence angle: {tpa}")
 

@@ -264,6 +264,37 @@ def test_non_finite_geometry_exit(scenario_file, tmp_path, capsys, argv, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["design", "--scenario", "SCN", "--side-l", "abc"],
+    ["design", "--side-l", "0.2"],
+    ["design", "--scenario", "SCN", "--side-l", "0.2", "--no-such-flag"],
+    ["thresholds", "--scenario", "SCN", "--table", "x.csv"],
+    ["thresholds", "--scenario", "SCN", "--strict-fresnel"],
+    ["thresholds", "--scenario", "SCN", "--centered-cells"],
+    ["sweep", "--scenario", "SCN", "--values", "0.2,0.3", "--strict-fresnel"],
+    ["cuts", "--scenario", "SCN", "--side-l", "0.2", "--points", "many"],
+    [],
+], ids=["design-bad-float", "design-no-scenario", "design-unknown-flag",
+        "thresholds-table", "thresholds-strict-fresnel", "thresholds-centered-cells",
+        "sweep-strict-fresnel", "cuts-bad-int", "no-command"])
+def test_usage_error_exit(scenario_file, tmp_path, capsys, argv):
+    # exit 1 like any bad input; for thresholds, 2 would read as an empty interval
+    out = tmp_path / "o"
+    code = main([scenario_file if a == "SCN" else a for a in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["thresholds", "--help"])
+    assert stop.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--scenario" in usage and "--table" not in usage
+
+
 _NEAR_FIELD = ("observation at r = 2.000 m is inside the Fresnel bound 2.826 m "
                "for L = 0.200 m")
 _FRESNEL_ARGV = {

@@ -113,13 +113,13 @@ def test_ideal_phases_center_cell(baseline):
     grid = sk.discretize(5 * baseline.pitch, baseline.pitch, centered=True)
     targets = sk.ideal_current_phases(grid, baseline)
     center = grid.p_count // 2
-    assert targets.values[center, center] == pytest.approx(0.0, abs=1e-12)
+    assert targets[center, center] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ideal_phases_mirror_symmetry(baseline):
     grid = sk.discretize(7 * baseline.pitch, baseline.pitch, centered=True)
     targets = sk.ideal_current_phases(grid, baseline)
-    np.testing.assert_allclose(targets.values, targets.values[:, ::-1], atol=1e-12)
+    np.testing.assert_allclose(targets, targets[:, ::-1], atol=1e-12)
 
 
 def test_ideal_phase_hand_value(baseline):
@@ -228,18 +228,20 @@ def test_synthesis_on_single_candidate_table(baseline):
                                       gamma_yy=np.array([1j, -1j]))
     panel, _ = sk.design_panel(baseline, 0.05, narrow)
     np.testing.assert_array_equal(panel.d.values, 1.0e-3)
-    assert sk.ems_tpa(baseline, panel, fresnel="off") > 0.0
+    assert sk.ems_tpa(baseline, panel) > 0.0
 
 
 def test_synthesis_exact_targets_give_constant_layout(baseline, table):
     grid = sk.discretize(12 * baseline.pitch, baseline.pitch)
     g_mid = 2.3e-3  # on the interpolation lattice
     pred = sk.predicted_phase(table, g_mid, baseline, grid)
-    targets = sk.TargetPhases(values=sk.wrap_phase(pred))
+    targets = sk.wrap_phase(pred)
     d = sk.synthesize_layout(grid, table, targets, baseline)
     np.testing.assert_allclose(d.values, g_mid, atol=1e-12)
     phi = sk.synthesis_mismatch(grid, table, d, targets, baseline)
     assert phi <= 1e-18
+    with pytest.raises(sk.LayoutError, match="do not match the grid"):
+        sk.synthesize_layout(grid, table, targets[:-1], baseline)
 
 
 def test_synthesis_percell_error_bound(baseline):
@@ -252,10 +254,10 @@ def test_synthesis_percell_error_bound(baseline):
     rng = np.random.default_rng(4)
     arc = rng.uniform(cand.min(), cand.max(), size=grid.cell_grid()[0].shape)
     base = sk.predicted_phase(coarse, coarse.g[0], baseline, grid)
-    targets = sk.TargetPhases(values=sk.wrap_phase(base - cand[0] + arc))
+    targets = sk.wrap_phase(base - cand[0] + arc)
     d = sk.synthesize_layout(grid, coarse, targets, baseline)
     pred = sk.predicted_phase(coarse, d.values, baseline, grid)
-    err = np.abs(sk.wrap_phase(pred - targets.values))
+    err = np.abs(sk.wrap_phase(pred - targets))
     assert np.all(err <= gap / 2.0 + 1e-9)
 
 
@@ -265,10 +267,10 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
     d = sk.synthesize_layout(grid, table, targets, baseline)
     phi = sk.synthesis_mismatch(grid, table, d, targets, baseline)
 
-    g_fine, gyy_fine = table.dense_grid(1e-6)
+    g_fine, gyy_fine = table.dense_grid()
     cand = np.angle(1.0 - gyy_fine)
     _, h = sk.incident_fields(baseline, *grid.cell_grid())
-    need = sk.wrap_phase(targets.values - np.angle(h[0]))
+    need = sk.wrap_phase(targets - np.angle(h[0]))
     brute = np.abs(sk.wrap_phase(cand[None, None, :] - need[:, :, None]))
     per_cell_min = brute.min(axis=2) ** 2
     assert phi == pytest.approx(per_cell_min.sum(), rel=1e-12)
@@ -351,7 +353,7 @@ def test_propagation_route_matches_coherent_closed_form(baseline):
     shape = (grid.p_count, grid.q_count)
     currents = sk.SurfaceCurrents(
         je_x=np.zeros(shape, complex),
-        je_y=np.exp(1j * targets.values),
+        je_y=np.exp(1j * targets),
         jm_x=np.zeros(shape, complex),
         jm_y=np.zeros(shape, complex),
         grid=grid)
@@ -413,6 +415,6 @@ def test_phase_flip_sampled_on_larger_grid(baseline, table):
 
 def test_pec_table_degenerates_to_screen(baseline, pec_table):
     panel, _ = sk.design_panel(baseline, 0.3, pec_table)
-    a_ems = sk.ems_tpa(baseline, panel, fresnel="off")
-    a_pcs = sk.pcs_tpa(baseline, 0.3, fresnel="off")
+    a_ems = sk.ems_tpa(baseline, panel)
+    a_pcs = sk.pcs_tpa(baseline, 0.3)
     assert abs(a_ems - a_pcs) <= 1e-12 * a_pcs

@@ -1,9 +1,13 @@
-"""Property tests over random link geometries, on panels of at most 400 cells."""
+"""Property tests over random link geometries, on panels of at most 400 cells
+(one explicit example has 1,296), and how a failing property is reported."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
@@ -22,15 +26,18 @@ geometry = dict(f=st.floats(3e9, 60e9), r_tx=st.floats(1.0, 60.0),
 
 @settings(max_examples=40, deadline=None)
 @given(**geometry)
+# r_rx = 2 m is inside the 2.83 m Fresnel bound of L = 0.2 m: the TPA functions
+# only evaluate there, and warn or raise nothing
+@example(f=27e9, r_tx=15.0, r_rx=2.0, theta0_deg=30.0, cells=36)
 def test_pec_skin_equals_screen_through_receiver_tpa(f, r_tx, r_rx, theta0_deg, cells):
     scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
     side = cells * scenario.pitch
-    a_pcs = sk.pcs_tpa(scenario, side, fresnel="off")
+    a_pcs = sk.pcs_tpa(scenario, side)
     grid = sk.discretize(side, scenario.pitch)
     sheet = sk.reflection_currents(grid, scenario, -1.0, -1.0)
-    assert sk.receiver_tpa(sheet, scenario, fresnel="off") == a_pcs
+    assert sk.receiver_tpa(sheet, scenario) == a_pcs
     panel, _ = sk.design_panel(scenario, side, PEC)
-    assert math.isclose(sk.ems_tpa(scenario, panel, fresnel="off"), a_pcs, rel_tol=1e-12)
+    assert math.isclose(sk.ems_tpa(scenario, panel), a_pcs, rel_tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -45,8 +52,7 @@ def test_tpa_invariant_under_joint_wavelength_and_length_scaling(
         length = cells * scenario.pitch          # scaled side, whole cells
         panel, _ = sk.design_panel(scenario, length, TABLE)
         assert panel.grid.p_count == cells
-        tpa.append((sk.pcs_tpa(scenario, length, fresnel="off"),
-                    sk.ems_tpa(scenario, panel, fresnel="off")))
+        tpa.append((sk.pcs_tpa(scenario, length), sk.ems_tpa(scenario, panel)))
     np.testing.assert_allclose(tpa[1], tpa[0], rtol=1e-9)
 
 
@@ -55,7 +61,7 @@ def test_tpa_invariant_under_joint_wavelength_and_length_scaling(
 def test_skin_stays_below_the_ideal_bound(f, r_tx, r_rx, theta0_deg, cells):
     scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
     panel, _ = sk.design_panel(scenario, cells * scenario.pitch, TABLE)
-    a_ems = sk.ems_tpa(scenario, panel, fresnel="off")
+    a_ems = sk.ems_tpa(scenario, panel)
     a_opt = sk.ems_upper_bound_tpa(scenario, panel.grid.side_l)
     assert sk.db(a_ems) <= sk.db(a_opt) + 0.5
 
@@ -90,3 +96,25 @@ def test_closed_form_converges_to_the_oracle(f, theta, cells, phi, seed):
                  for m in (100, 1000))
     assert far < 1e-3
     assert far < near
+
+
+def test_failing_property_prints_its_example(tmp_path):
+    # On failure Hypothesis imports libcst, whose import raises a DeprecationWarning
+    # that filterwarnings = ["error"] would turn into an INTERNALERROR; pyproject.toml
+    # ignores that one message, and every other warning stays an error.
+    (tmp_path / "test_falsified.py").write_text(
+        "import warnings\n"
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_below_five(x):\n"
+        "    assert x < 5\n\n"
+        "def test_warning_fails():\n"
+        "    warnings.warn('deprecated', DeprecationWarning)\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject),
+                          "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+                          "test_falsified.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_below_five(" in run.stdout
+    assert "2 failed" in run.stdout

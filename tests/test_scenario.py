@@ -68,7 +68,6 @@ def test_frame_convention(baseline):
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(baseline.rx_position, [15.0 * s, 0.0, 15.0 * c],
                                rtol=0, atol=1e-15)
-    assert baseline.phi_rx == 0.0
 
 
 def test_incident_center_magnitude(baseline):

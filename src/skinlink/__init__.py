@@ -15,7 +15,7 @@ from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout
 from .constants import C0, EPS0, ETA0, MU0
 from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_tpa,
                   ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
-                  load_reflection_table, parse_reflection_table, predicted_phase,
+                  load_reflection_table, parse_reflection_table,
                   reflection_currents, save_reflection_table, synthesis_mismatch,
                   synthesize_layout, synthetic_table, wrap_phase)
 from .errors import (ConfigError, DomainError, FresnelValidityError,

@@ -107,37 +107,33 @@ def _scenario_for(scenario: LinkScenario, variable: str, value: float) -> LinkSc
         return dataclasses.replace(scenario, r_rx=value)
     if variable == "theta0":
         return dataclasses.replace(scenario, theta0=value)
-    if variable == "rho":
-        return dataclasses.replace(scenario, r_tx=value / 2.0, r_rx=value / 2.0)
-    raise DomainError(f"unknown sweep variable {variable!r}; "
-                      f"expected one of {SWEEP_VARIABLES}")
+    return dataclasses.replace(scenario, r_tx=value / 2.0, r_rx=value / 2.0)  # rho
 
 
 def evaluate_point(scenario: LinkScenario, side_l: float,
                    table: ReflectionLookupTable,
-                   centered: bool = False) -> tuple[float, float, float, float]:
-    """(a_pcs, a_ems, a_opt, a_inf) for one geometry, with a fresh synthesis.
+                   centered: bool = False) -> TpaSweepRow:
+    """The side_l sweep row of one geometry, with a fresh synthesis.
 
-    Fresnel validity is left to the caller (sweep reports it as fresnel_ok).
+    Every figure reads the one snapped panel that was synthesized: a_ems its
+    layout, a_pcs a conducting screen of the same cells, a_opt its snapped
+    side. fresnel_ok checks the receiver against that snapped side, the check
+    that design and cuts apply. The row's variable is side_l and its value the
+    requested side; sweep replaces both for its own variable.
     """
     panel, _ = design_panel(scenario, side_l, table, centered=centered)
     a_ems = ems_tpa(scenario, panel)
     a_pcs = pcs_tpa(scenario, side_l, centered=centered)
-    return (a_pcs, a_ems,
-            ems_upper_bound_tpa(scenario, panel.grid.side_l),
-            pcs_asymptotic_tpa(scenario))
+    side = panel.grid.side_l
+    return TpaSweepRow(
+        variable="side_l", value=side_l, a_pcs=a_pcs, a_ems=a_ems,
+        a_opt=ems_upper_bound_tpa(scenario, side), a_inf=pcs_asymptotic_tpa(scenario),
+        fresnel_ok=scenario.r_rx >= fresnel_min_distance(side, scenario.wavelength))
 
 
 def worker_count(n_tasks: int) -> int:
-    """Worker pool size: CPU count, capped by SKINLINK_THREADS when set."""
-    workers = min(n_tasks, os.cpu_count() or 1)
-    cap = os.environ.get("SKINLINK_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, workers)
+    """Worker pool size: one thread per task, at most one per CPU."""
+    return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
 def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookupTable,
@@ -148,8 +144,10 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
     The skin is re-synthesized (phase conjugation for the updated geometry) at
     every point. For a rho sweep both antenna distances are set to rho/2. For
     sweeps over anything but side_l a finite panel side of at least one cell
-    must be given. Fresnel validity is reported in each row's fresnel_ok, not
-    checked or warned about.
+    must be given. Each row is evaluate_point's row for its geometry with the
+    swept variable and value put in, so its fresnel_ok checks the receiver
+    against the snapped panel side, not the requested one; it is reported,
+    not warned about.
     Per-point library errors are recorded in the row, prefixed with their type,
     and the sweep continues; any other exception propagates. Points run in a
     thread pool with deterministic, input-ordered results.
@@ -176,17 +174,13 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         point_scenario = _scenario_for(scenario, variable, value)
         length = value if variable == "side_l" else side_l
         try:
-            a_pcs, a_ems, a_opt, a_inf = evaluate_point(
-                point_scenario, length, table, centered)
-            ok = point_scenario.r_rx >= fresnel_min_distance(
-                length, point_scenario.wavelength)
-            return TpaSweepRow(variable=variable, value=value, a_pcs=a_pcs,
-                               a_ems=a_ems, a_opt=a_opt, a_inf=a_inf, fresnel_ok=ok)
+            row = evaluate_point(point_scenario, length, table, centered)
         except SkinlinkError as exc:  # recorded per row, sweep continues
             return TpaSweepRow(variable=variable, value=value,
                                a_pcs=math.nan, a_ems=math.nan, a_opt=math.nan,
                                a_inf=math.nan, fresnel_ok=False,
                                error=f"{type(exc).__name__}: {exc}")
+        return dataclasses.replace(row, variable=variable, value=value)
 
     n = workers if workers is not None else worker_count(len(values))
     if n <= 1:
@@ -209,14 +203,6 @@ class MarkerSet:
     l_th_ems: float | None
     l_pcs_ems: float | None
 
-    @property
-    def l_th_ems_present(self) -> bool:
-        return self.l_th_ems is not None
-
-    @property
-    def l_pcs_ems_present(self) -> bool:
-        return self.l_pcs_ems is not None
-
 
 def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
             table: ReflectionLookupTable, centered: bool = False) -> MarkerSet:
@@ -236,9 +222,9 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
 
     pitch = scenario.pitch
     counts = [discretize(r.value, pitch).p_count for r in usable]
-    cache = {p: (r.a_pcs, r.a_ems, r.a_opt, r.a_inf) for p, r in zip(counts, usable)}
+    cache = dict(zip(counts, usable))
 
-    def point(p: int):
+    def row(p: int) -> TpaSweepRow:
         if p not in cache:
             cache[p] = evaluate_point(scenario, p * pitch, table, centered)
         return cache[p]
@@ -248,7 +234,7 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
             if diff(cache[lo]) < 0.0 < diff(cache[hi]):
                 while hi - lo > 1:    # invariant: diff(lo) <= 0 < diff(hi)
                     mid = (lo + hi) // 2
-                    if diff(point(mid)) > 0.0:
+                    if diff(row(mid)) > 0.0:
                         hi = mid
                     else:
                         lo = mid
@@ -256,6 +242,6 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
         return None
 
     return MarkerSet(
-        l_th_ems=locate(lambda p: p[1] - p[3]),
-        l_pcs_ems=locate(lambda p: p[1] - p[0]),
+        l_th_ems=locate(lambda r: r.a_ems - r.a_inf),
+        l_pcs_ems=locate(lambda r: r.a_ems - r.a_pcs),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -80,19 +81,7 @@ class DescriptorVector:
 
 def scenario_fingerprint(scenario) -> str:
     """Short stable hash of the scenario fields, for layout provenance."""
-    payload = json.dumps(
-        {
-            "f": scenario.f,
-            "p_tx": scenario.p_tx,
-            "g_tx": scenario.g_tx,
-            "g_rx": scenario.g_rx,
-            "r_tx": scenario.r_tx,
-            "r_rx": scenario.r_rx,
-            "theta0": scenario.theta0,
-            "delta": scenario.delta,
-        },
-        sort_keys=True,
-    )
+    payload = json.dumps(dataclasses.asdict(scenario), sort_keys=True)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
 from .errors import ConfigError, SkinlinkError
-from .field_engine import FieldCut, check_fresnel, field_cut_map
+from .field_engine import FieldCut, check_fresnel, field_cut_map, receiver_tpa
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario
 
@@ -114,14 +114,16 @@ def _outdir(args) -> Path:
 
 
 def _write_markers(path: Path, interval, marker_set=None) -> None:
+    l_th_ems = marker_set.l_th_ems if marker_set else None
+    l_pcs_ems = marker_set.l_pcs_ems if marker_set else None
     doc = {
         "l_th_m": interval.l_th,
         "l_fr_m": interval.l_fr,
         "nonempty": interval.nonempty,
-        "l_th_ems_m": marker_set.l_th_ems if marker_set else None,
-        "l_th_ems_present": bool(marker_set and marker_set.l_th_ems_present),
-        "l_pcs_ems_m": marker_set.l_pcs_ems if marker_set else None,
-        "l_pcs_ems_present": bool(marker_set and marker_set.l_pcs_ems_present),
+        "l_th_ems_m": l_th_ems,
+        "l_th_ems_present": l_th_ems is not None,
+        "l_pcs_ems_m": l_pcs_ems,
+        "l_pcs_ems_present": l_pcs_ems is not None,
     }
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii")
 
@@ -156,8 +158,9 @@ def cmd_design(args) -> int:
     panel, targets = ems.design_panel(scenario, args.side_l, table,
                                       centered=args.centered_cells)
     _check_receiver(args, scenario, panel)
-    phi = ems.synthesis_mismatch(panel.grid, table, panel.d, targets, scenario)
-    a_ems = ems.ems_tpa(scenario, panel)
+    currents = ems.gstc_currents(panel, scenario)   # one current set for both figures
+    phi = ems.synthesis_mismatch(panel.grid, currents, targets)
+    a_ems = receiver_tpa(currents, scenario)
     a_opt = ems.ems_upper_bound_tpa(scenario, panel.grid.side_l)
     a_pcs = pcs_tpa(scenario, args.side_l, centered=args.centered_cells)
     rings = _ring_count(panel.d.values, *table.g_range)
@@ -197,14 +200,10 @@ def cmd_sweep(args) -> int:
                           side_l=args.side_l, centered=args.centered_cells)
     out = _outdir(args)
     lines = ["var,value,a_pcs_db,a_ems_db,a_opt_db,a_inf_db,fresnel_ok"]
-    for row in rows:
-        if row.error is None:
-            cols = [row.variable, _fmt(row.value), _fmt(row.a_pcs_db),
-                    _fmt(row.a_ems_db), _fmt(row.a_opt_db), _fmt(row.a_inf_db),
-                    str(row.fresnel_ok).lower()]
-        else:
-            cols = [row.variable, _fmt(row.value), "nan", "nan", "nan", "nan", "false"]
-        lines.append(",".join(cols))
+    for row in rows:    # a failed row's nan figures print as nan, its flag as false
+        lines.append(",".join([row.variable, _fmt(row.value), _fmt(row.a_pcs_db),
+                               _fmt(row.a_ems_db), _fmt(row.a_opt_db),
+                               _fmt(row.a_inf_db), str(row.fresnel_ok).lower()]))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     interval = analysis.optimality_interval(scenario)

@@ -27,6 +27,7 @@ from .scenario import LinkScenario, incident_fields
 _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
 _SCURVE_SWING = 0.4            # S-curve slope modulation of the synthetic table
 _SYNTHESIS_RESOLUTION = 1e-6   # geometry step [m] of the synthesis candidate grid
+_SYNTHETIC_G_RANGE = (0.3e-3, 5.0e-3)  # patch geometry span [m] of the synthetic table
 
 
 def wrap_phase(x):
@@ -97,13 +98,13 @@ class ReflectionLookupTable:
 
 
 def synthetic_table(u_count: int = 64, phase_span: float = math.radians(300.0),
-                    loss_db: float = 0.0, g_min: float = 0.3e-3,
-                    g_max: float = 5.0e-3) -> ReflectionLookupTable:
+                    loss_db: float = 0.0) -> ReflectionLookupTable:
     """Stand-in lookup table for a square-patch cell family.
 
-    gamma_yy follows a smooth monotone S-curve of reflection phase over
-    phase_span centered on 180 degrees (phase decreasing as the patch grows),
-    with uniform magnitude 10^(-loss_db/20); gamma_xx mirrors gamma_yy.
+    u_count geometry values span 0.3 mm to 5.0 mm evenly. gamma_yy follows a
+    smooth monotone S-curve of reflection phase over phase_span centered on
+    180 degrees (phase decreasing as the patch grows), with uniform magnitude
+    10^(-loss_db/20); gamma_xx mirrors gamma_yy.
     """
     if u_count < 2:
         raise ConfigError("synthetic table needs at least two entries")
@@ -111,13 +112,11 @@ def synthetic_table(u_count: int = 64, phase_span: float = math.radians(300.0),
         raise ConfigError("phase span must lie in (0, 2*pi]")
     if loss_db < 0.0:
         raise ConfigError("loss must be nonnegative to keep the cells passive")
-    if not 0.0 < g_min < g_max:
-        raise ConfigError("geometry range must be positive and increasing")
     x = np.linspace(0.0, 1.0, u_count)
     scurve = x - _SCURVE_SWING * np.sin(2.0 * math.pi * x) / (2.0 * math.pi)
     psi = math.pi + phase_span / 2.0 - phase_span * scurve
     gamma = 10.0 ** (-loss_db / 20.0) * np.exp(1j * psi)
-    g = np.linspace(g_min, g_max, u_count)
+    g = np.linspace(*_SYNTHETIC_G_RANGE, u_count)
     return ReflectionLookupTable(g=g, gamma_xx=gamma.copy(), gamma_yy=gamma)
 
 
@@ -224,14 +223,6 @@ def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarr
     return wrap_phase(-k * beta((X, Y), obs))
 
 
-def predicted_phase(table: ReflectionLookupTable, g_values, scenario: LinkScenario,
-                    grid: ApertureGrid) -> np.ndarray:
-    """Phase of the dominant (y-polarized electric) cell current for given geometry."""
-    _, gyy = table.gamma_at(g_values)
-    _, h_inc = incident_fields(scenario, *grid.cell_grid())
-    return np.angle((1.0 - gyy) * h_inc[0])
-
-
 def _nearest_candidate(cand: np.ndarray, need: np.ndarray):
     """Index (per need) of the candidate phase at smallest wrapped distance.
 
@@ -271,12 +262,19 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     return DescriptorVector(side_l=grid.side_l, values=g_fine[idx])
 
 
-def synthesis_mismatch(grid: ApertureGrid, table: ReflectionLookupTable,
-                       d: DescriptorVector, targets: np.ndarray,
-                       scenario: LinkScenario) -> float:
-    """Total squared wrapped phase error of a layout against its targets [rad^2]."""
-    pred = predicted_phase(table, d.values, scenario, grid)
-    err = wrap_phase(pred - targets)
+def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,
+                       targets: np.ndarray) -> float:
+    """Total squared wrapped phase error of a layout against its targets [rad^2].
+
+    The phase compared is that of the y-polarized electric current je_y, the
+    current synthesize_layout matches, read from the currents the layout
+    carries (gstc_currents), so the figure describes the evaluated panel.
+    currents and targets must both be shaped like the grid's (P, Q) cells.
+    """
+    shape = (grid.p_count, grid.q_count)
+    if targets.shape != shape or currents.je_y.shape != shape:
+        raise LayoutError("currents or target phases do not match the grid")
+    err = wrap_phase(np.angle(currents.je_y) - targets)
     return float(np.sum(err * err))
 
 

@@ -61,7 +61,7 @@ def test_criterion_5_realized_skin_attenuation(baseline, panel08):
 
 
 def test_criterion_6_crossing_structure(sweep19, markers19):
-    ok = markers19.l_th_ems_present and 0.310 <= markers19.l_th_ems <= 0.39
+    ok = markers19.l_th_ems is not None and 0.310 <= markers19.l_th_ems <= 0.39
     threshold = (markers19.l_th_ems or 0.0) + 0.05
     beyond = [r for r in sweep19 if r.value >= threshold]
     ok = ok and beyond and all(r.a_ems > r.a_inf for r in beyond)

@@ -107,9 +107,16 @@ def test_sweep_small_panels_track_the_bound(baseline, sweep19):
 
 
 def test_sweep_flags_fresnel_invalid_rows(baseline, table):
-    rows = sk.sweep(baseline, "side_l", [0.8, 1.2, 1.4], table)
-    by_value = {round(r.value, 3): r for r in rows}
+    rows = sk.sweep(baseline, "side_l", [0.8, 1.0625, 1.2, 1.4], table)
+    by_value = {round(r.value, 4): r for r in rows}
     assert by_value[0.8].fresnel_ok
+    # 1.0625 m snaps to 191 cells, 1.0604 m, inside the 1.0607 m Fresnel side:
+    # the flag checks the snapped side that was evaluated, not the requested one
+    assert by_value[1.0625].fresnel_ok
+    for row in rows:
+        side = sk.discretize(row.value, baseline.pitch).side_l
+        assert row.fresnel_ok == (
+            baseline.r_rx >= sk.fresnel_min_distance(side, baseline.wavelength))
     assert not by_value[1.4].fresnel_ok       # needs r >= 19.8 m, have 15 m
     assert by_value[1.4].error is None        # flagged, not dropped
 
@@ -194,11 +201,11 @@ def test_sweep_parallel_matches_serial(baseline, table):
 
 
 def test_markers_located(baseline, markers19):
-    assert markers19.l_th_ems_present
+    assert markers19.l_th_ems is not None
     assert 0.310 <= markers19.l_th_ems <= 0.388
     # any realizable screen crosses at or after the ideal threshold side
     assert markers19.l_th_ems >= sk.l_threshold(baseline) - 1e-3
-    assert markers19.l_pcs_ems_present
+    assert markers19.l_pcs_ems is not None
     assert markers19.l_pcs_ems <= markers19.l_th_ems + 0.2
 
 
@@ -206,7 +213,8 @@ def test_markers_are_exact_panel_sides(baseline, table, markers19):
     # each marker is the side of the smallest winning whole panel: p cells win,
     # p - 1 cells do not
     pitch = baseline.pitch
-    diffs = {"l_th_ems": lambda a: a[1] - a[3], "l_pcs_ems": lambda a: a[1] - a[0]}
+    diffs = {"l_th_ems": lambda r: r.a_ems - r.a_inf,
+             "l_pcs_ems": lambda r: r.a_ems - r.a_pcs}
     for name, diff in diffs.items():
         side = getattr(markers19, name)
         p = round(side / pitch)
@@ -226,7 +234,7 @@ def test_markers_evaluate_each_cell_count_once(baseline, table, sweep19, monkeyp
 
     monkeypatch.setattr(analysis, "evaluate_point", counting)
     found = sk.markers(sweep19, baseline, table)
-    assert found.l_th_ems_present and found.l_pcs_ems_present
+    assert found.l_th_ems is not None and found.l_pcs_ems is not None
     assert probed
     assert len(set(probed)) == len(probed)
     rows = {sk.discretize(r.value, baseline.pitch).p_count for r in sweep19}
@@ -236,14 +244,13 @@ def test_markers_evaluate_each_cell_count_once(baseline, table, sweep19, monkeyp
 def test_markers_absent_without_crossing(baseline, table):
     rows = sk.sweep(baseline, "side_l", [0.1, 0.15, 0.2], table)
     found = sk.markers(rows, baseline, table)
-    assert not found.l_th_ems_present
     assert found.l_th_ems is None
 
 
 def test_markers_degenerate_table(baseline, pec_table):
     rows = sk.sweep(baseline, "side_l", [0.2, 0.4, 0.6, 0.8], pec_table)
     found = sk.markers(rows, baseline, pec_table)
-    assert not found.l_pcs_ems_present
+    assert found.l_pcs_ems is None
 
 
 def test_markers_needs_rows(baseline, table):

@@ -136,6 +136,16 @@ def test_sweep_csv_and_markers(scenario_file, tmp_path):
     assert "l_th_ems_m" in doc and "l_pcs_ems_present" in doc
 
 
+def test_sweep_failed_row_line(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--scenario", scenario_file, "--values", "0.001,0.1,0.2",
+                 "--out", str(out)])
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "side_l,0.001,nan,nan,nan,nan,false"
+    assert "row 0.001: GeometryError: " in capsys.readouterr().err
+
+
 def test_sweep_rerun_byte_identical(scenario_file, tmp_path):
     outs = []
     for name in ("s1", "s2"):
@@ -185,8 +195,7 @@ def test_sweep_bad_variable_exit(scenario_file, tmp_path):
     assert code == 1
 
 
-def test_sweep_rho_with_thread_cap(scenario_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("SKINLINK_THREADS", "2")
+def test_sweep_rho_rows(scenario_file, tmp_path):
     out = tmp_path / "rho"
     code = main(["sweep", "--scenario", scenario_file, "--variable", "rho",
                  "--values", "40,60", "--side-l", "0.3", "--out", str(out)])
@@ -332,6 +341,18 @@ def test_near_receiver_warns_once(near_scenario_file, tmp_path, command):
     assert code == 0
     assert len(record) == 1
     assert out.exists()
+
+
+def test_sweep_and_design_agree_on_fresnel(scenario_file, tmp_path):
+    # 1.0625 m lies beyond L_FR = 1.0607 m, but snaps to 191 cells, 1.0604 m,
+    # which is the panel both commands evaluate and check
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scenario_file, "--values", "1.0625",
+                 "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("side_l,1.0625,") and lines[1].endswith(",true")
+    assert main(["design", "--scenario", scenario_file, "--side-l", "1.0625",
+                 "--strict-fresnel", "--out", str(tmp_path / "d")]) == 0
 
 
 def test_cuts_ems_peak_dominates(scenario_file, tmp_path):

@@ -231,17 +231,33 @@ def test_synthesis_on_single_candidate_table(baseline):
     assert sk.ems_tpa(baseline, panel) > 0.0
 
 
+def current_phase(table, g_values, scenario, grid):
+    """Phase of the y-polarized electric cell current for the given geometry."""
+    currents = sk.reflection_currents(grid, scenario, *table.gamma_at(g_values))
+    return np.angle(currents.je_y)
+
+
+def layout_currents(grid, table, d, scenario):
+    return sk.gstc_currents(sk.EmsPanel(grid=grid, d=d, table=table), scenario)
+
+
 def test_synthesis_exact_targets_give_constant_layout(baseline, table):
     grid = sk.discretize(12 * baseline.pitch, baseline.pitch)
     g_mid = 2.3e-3  # on the interpolation lattice
-    pred = sk.predicted_phase(table, g_mid, baseline, grid)
+    pred = current_phase(table, g_mid, baseline, grid)
     targets = sk.wrap_phase(pred)
     d = sk.synthesize_layout(grid, table, targets, baseline)
     np.testing.assert_allclose(d.values, g_mid, atol=1e-12)
-    phi = sk.synthesis_mismatch(grid, table, d, targets, baseline)
+    currents = layout_currents(grid, table, d, baseline)
+    phi = sk.synthesis_mismatch(grid, currents, targets)
     assert phi <= 1e-18
     with pytest.raises(sk.LayoutError, match="do not match the grid"):
         sk.synthesize_layout(grid, table, targets[:-1], baseline)
+    with pytest.raises(sk.LayoutError, match="do not match the grid"):
+        sk.synthesis_mismatch(grid, currents, targets[:-1])
+    with pytest.raises(sk.LayoutError, match="do not match the grid"):
+        sk.synthesis_mismatch(sk.discretize(13 * baseline.pitch, baseline.pitch),
+                              currents, targets)
 
 
 def test_synthesis_percell_error_bound(baseline):
@@ -253,10 +269,10 @@ def test_synthesis_percell_error_bound(baseline):
     gap = np.max(np.abs(np.diff(np.sort(cand))))
     rng = np.random.default_rng(4)
     arc = rng.uniform(cand.min(), cand.max(), size=grid.cell_grid()[0].shape)
-    base = sk.predicted_phase(coarse, coarse.g[0], baseline, grid)
+    base = current_phase(coarse, coarse.g[0], baseline, grid)
     targets = sk.wrap_phase(base - cand[0] + arc)
     d = sk.synthesize_layout(grid, coarse, targets, baseline)
-    pred = sk.predicted_phase(coarse, d.values, baseline, grid)
+    pred = current_phase(coarse, d.values, baseline, grid)
     err = np.abs(sk.wrap_phase(pred - targets))
     assert np.all(err <= gap / 2.0 + 1e-9)
 
@@ -265,7 +281,7 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
     grid = sk.discretize(16 * baseline.pitch, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
     d = sk.synthesize_layout(grid, table, targets, baseline)
-    phi = sk.synthesis_mismatch(grid, table, d, targets, baseline)
+    phi = sk.synthesis_mismatch(grid, layout_currents(grid, table, d, baseline), targets)
 
     g_fine, gyy_fine = table.dense_grid()
     cand = np.angle(1.0 - gyy_fine)

@@ -7,17 +7,16 @@ field through a discretized Fresnel-zone radiation sum, and provides the
 closed-form attenuation bounds and panel-sizing rules.
 """
 
-from .analysis import (DeltaMetrics, MarkerSet, OptimalityInterval, TpaSweepRow,
-                       delta_metrics, l_fresnel, l_threshold, markers,
-                       optimality_interval, sweep)
+from .analysis import (MarkerSet, OptimalityInterval, TpaSweepRow, l_fresnel,
+                       l_threshold, markers, optimality_interval, sweep)
 from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
                        import_layout, scenario_fingerprint)
 from .constants import C0, EPS0, ETA0, MU0
 from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_tpa,
                   ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
                   load_reflection_table, parse_reflection_table,
-                  reflection_currents, save_reflection_table, synthesis_mismatch,
-                  synthesize_layout, synthetic_table, wrap_phase)
+                  reflection_currents, synthesis_mismatch, synthesize_layout,
+                  synthetic_table, wrap_phase)
 from .errors import (ConfigError, DomainError, FresnelValidityError,
                      FresnelValidityWarning, GeometryError, LayoutError,
                      SkinlinkError)

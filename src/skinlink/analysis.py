@@ -1,5 +1,4 @@
-"""Closed-form sizing thresholds, parameter sweeps, crossing markers and
-improvement margins."""
+"""Closed-form sizing thresholds, parameter sweeps and crossing markers."""
 
 from __future__ import annotations
 
@@ -84,22 +83,6 @@ class TpaSweepRow:
         return db(self.a_inf)
 
 
-@dataclass(frozen=True)
-class DeltaMetrics:
-    """Skin improvement margins [dB] over the finite screen, the infinite-screen
-    limit, and the ideal bound (the last is nonpositive up to numerics)."""
-
-    d_pcs: float
-    d_inf: float
-    d_opt: float
-
-
-def delta_metrics(row: TpaSweepRow) -> DeltaMetrics:
-    return DeltaMetrics(d_pcs=row.a_ems_db - row.a_pcs_db,
-                        d_inf=row.a_ems_db - row.a_inf_db,
-                        d_opt=row.a_ems_db - row.a_opt_db)
-
-
 def _scenario_for(scenario: LinkScenario, variable: str, value: float) -> LinkScenario:
     if variable == "side_l":
         return scenario
@@ -144,10 +127,10 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
     The skin is re-synthesized (phase conjugation for the updated geometry) at
     every point. For a rho sweep both antenna distances are set to rho/2. For
     sweeps over anything but side_l a finite panel side of at least one cell
-    must be given. Each row is evaluate_point's row for its geometry with the
-    swept variable and value put in, so its fresnel_ok checks the receiver
-    against the snapped panel side, not the requested one; it is reported,
-    not warned about.
+    must be given, and for a side_l sweep none. Each row is evaluate_point's
+    row for its geometry with the swept variable and value put in, so its
+    fresnel_ok checks the receiver against the snapped panel side, not the
+    requested one; it is reported, not warned about.
     Per-point library errors are recorded in the row, prefixed with their type,
     and the sweep continues; any other exception propagates. Points run in a
     thread pool with deterministic, input-ordered results.
@@ -161,6 +144,8 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         raise DomainError("sweep values must be finite and positive")
     if sorted(values) != values:
         raise DomainError("sweep values must be sorted ascending")
+    if variable == "side_l" and side_l is not None:
+        raise DomainError("a fixed panel side is not used by a side_l sweep")
     if variable != "side_l":
         if not (side_l is not None and 0.0 < side_l < math.inf):
             raise DomainError(f"a finite, positive fixed panel side is required "

@@ -91,21 +91,36 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
 
     The document carries meta {f_hz, L_m, delta_m, B, scenario_hash} and the
     cells as the descriptor matrix itself: P rows by Q columns of geometry
-    values in meters, row p holding g_p0 ... g_p(Q-1).
+    values in meters, row p holding g_p0 ... g_p(Q-1). The text is that of
+    json.dumps(doc, indent=1, sort_keys=True) plus a newline. Non-finite cells,
+    which that would write as tokens JSON does not have, raise LayoutError.
     """
     if d.values.shape != (grid.p_count, grid.q_count):
         raise LayoutError("descriptor cell counts do not match the grid")
-    doc = {
-        "meta": {
-            "f_hz": f_hz,
-            "L_m": grid.side_l,
-            "delta_m": grid.pitch,
-            "B": 1,
-            "scenario_hash": scenario_hash,
-        },
-        "cells": d.values.tolist(),
+    if d.values.size == 0:
+        raise LayoutError("a layout needs at least one cell")
+    values = np.ascontiguousarray(d.values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise LayoutError("layout cells must be finite")
+    meta = {
+        "f_hz": f_hz,
+        "L_m": grid.side_l,
+        "delta_m": grid.pitch,
+        "B": 1,
+        "scenario_hash": scenario_hash,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    # With an indent, json encodes through its pure-Python path, one float at
+    # a time. A synthesized layout repeats a few thousand table geometries, so
+    # each distinct value is formatted once with float.__repr__ (json's own
+    # float format) and gathered back. Distinct means distinct bits: -0.0 and
+    # 0.0 compare equal but are written differently.
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([float.__repr__(v) for v in bits.view(np.float64).tolist()],
+                    dtype=object)[inverse.reshape(values.shape)]
+    rows = ["[\n   " + ",\n   ".join(row) + "\n  ]" for row in text.tolist()]
+    meta_text = json.dumps(meta, indent=1, sort_keys=True).replace("\n", "\n ")
+    return ('{\n "cells": [\n  ' + ",\n  ".join(rows) + '\n ],\n "meta": '
+            + meta_text + "\n}\n")
 
 
 def import_layout(text: str):

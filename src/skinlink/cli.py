@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma list or start:stop:count (SI units; degrees for theta0)")
     p.add_argument("--side-l", type=float, default=None,
-                   help="fixed panel side [m] (required unless sweeping side_l)")
+                   help="fixed panel side [m] (required for r_rx, theta0 and rho "
+                        "sweeps, rejected for side_l)")
 
     p = cmd["cuts"]
     p.add_argument("--plane", default="both",

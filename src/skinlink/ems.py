@@ -123,19 +123,6 @@ def synthetic_table(u_count: int = 64, phase_span: float = math.radians(300.0),
 _TABLE_HEADER = ["g_m", "re_gamma_xx", "im_gamma_xx", "re_gamma_yy", "im_gamma_yy"]
 
 
-def save_reflection_table(table: ReflectionLookupTable, path) -> None:
-    """Write a table as CSV with rows sorted by geometry value."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_HEADER)
-        for i in range(table.g.size):
-            writer.writerow([repr(float(table.g[i])),
-                             repr(float(table.gamma_xx[i].real)),
-                             repr(float(table.gamma_xx[i].imag)),
-                             repr(float(table.gamma_yy[i].real)),
-                             repr(float(table.gamma_yy[i].imag))])
-
-
 def load_reflection_table(path) -> ReflectionLookupTable:
     """Load a CSV table (header g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy)."""
     with open(path, "r", encoding="ascii", newline="") as fh:

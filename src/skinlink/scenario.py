@@ -113,10 +113,16 @@ def incident_fields(scenario: LinkScenario, x, y):
     lam = scenario.wavelength
     amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
     scalar = amp * np.exp(-1j * (2.0 * math.pi / lam) * d) / d
-    e = np.stack([scalar * ex, scalar * ey, scalar * ez])
-    h = np.stack([(ky * e[2] - kz * e[1]) / ETA0,
-                  (kz * e[0] - kx * e[2]) / ETA0,
-                  (kx * e[1] - ky * e[0]) / ETA0])
+    # each component is written into its slot, not stacked from temporaries;
+    # e[i, ...] stays an array view where e[i] of a 0-d input is a scalar
+    e = np.empty((3,) + d.shape, dtype=complex)
+    h = np.empty_like(e)
+    np.multiply(scalar, ex, out=e[0, ...])
+    np.multiply(scalar, ey, out=e[1, ...])
+    np.multiply(scalar, ez, out=e[2, ...])
+    np.divide(ky * e[2] - kz * e[1], ETA0, out=h[0, ...])
+    np.divide(kz * e[0] - kx * e[2], ETA0, out=h[1, ...])
+    np.divide(kx * e[1] - ky * e[0], ETA0, out=h[2, ...])
     return e, h
 
 

@@ -130,6 +130,8 @@ def test_sweep_validation(baseline, table):
         sk.sweep(baseline, "side_l", [-0.1, 0.5], table)
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "side_l", [0.2, math.nan], table)
+    with pytest.raises(sk.DomainError, match="not used by a side_l sweep"):
+        sk.sweep(baseline, "side_l", [0.2, 0.3], table, side_l=0.5)
     with pytest.raises(sk.DomainError):
         sk.sweep(baseline, "r_rx", [20.0], table)          # missing side
     for side in (math.nan, math.inf, 0.0):
@@ -259,17 +261,20 @@ def test_markers_needs_rows(baseline, table):
 
 
 def test_delta_metrics_arithmetic(sweep19):
+    # the dB margins between a row's figures are the dB of their ratios
     row = sweep19[-1]
-    d = sk.delta_metrics(row)
-    assert d.d_pcs == pytest.approx(row.a_ems_db - row.a_pcs_db, abs=1e-12)
-    assert d.d_inf == pytest.approx(row.a_ems_db - row.a_inf_db, abs=1e-12)
-    assert d.d_opt == pytest.approx(row.a_ems_db - row.a_opt_db, abs=1e-12)
+    assert row.a_ems_db - row.a_pcs_db == pytest.approx(
+        10.0 * math.log10(row.a_ems / row.a_pcs), abs=1e-12)
+    assert row.a_ems_db - row.a_inf_db == pytest.approx(
+        10.0 * math.log10(row.a_ems / row.a_inf), abs=1e-12)
+    assert row.a_ems_db - row.a_opt_db == pytest.approx(
+        10.0 * math.log10(row.a_ems / row.a_opt), abs=1e-12)
 
 
 def test_delta_metrics_identical_screens():
     row = sk.TpaSweepRow(variable="side_l", value=0.4, a_pcs=1e-6, a_ems=1e-6,
                          a_opt=2e-6, a_inf=5e-7, fresnel_ok=True)
-    assert sk.delta_metrics(row).d_pcs == 0.0
+    assert row.a_ems_db - row.a_pcs_db == 0.0
 
 
 def test_delta_metrics_baseline_margins(sweep19):
@@ -277,22 +282,21 @@ def test_delta_metrics_baseline_margins(sweep19):
     # the realized-cell figures widened by the allowed ideal-table headroom
     # (see decisions ledger)
     row = next(r for r in sweep19 if abs(r.value - 0.8) < 1e-9)
-    d = sk.delta_metrics(row)
-    assert 12.0 <= d.d_pcs <= 21.6
-    assert 9.8 <= d.d_inf <= 16.4
-    assert -6.6 <= d.d_opt <= 0.0
+    assert 12.0 <= row.a_ems_db - row.a_pcs_db <= 21.6
+    assert 9.8 <= row.a_ems_db - row.a_inf_db <= 16.4
+    assert -6.6 <= row.a_ems_db - row.a_opt_db <= 0.0
 
 
 def test_delta_opt_capped_over_sweep(sweep19):
     for row in sweep19:
-        assert sk.delta_metrics(row).d_opt <= 0.5
+        assert row.a_ems_db - row.a_opt_db <= 0.5
 
 
 def test_margin_growth_with_ripple(markers19, sweep19):
     # the screen-vs-skin margin keeps growing beyond the crossing side, up to
     # the finite-panel diffraction ripple of the plain screen (<= 1 dB)
     start = markers19.l_pcs_ems
-    tail = [sk.delta_metrics(r).d_pcs for r in sweep19 if r.value >= start]
+    tail = [r.a_ems_db - r.a_pcs_db for r in sweep19 if r.value >= start]
     assert len(tail) >= 3
     running_max = -math.inf
     for margin in tail:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skinlink as sk
 
@@ -99,6 +101,52 @@ def test_layout_size_mismatch():
         doc["cells"][4][2] = bad
         with pytest.raises(sk.LayoutError):
             sk.import_layout(json.dumps(doc))
+
+
+def test_export_layout_rejects_non_finite_cells():
+    # json would write these as NaN / Infinity, which import_layout rejects
+    one = sk.discretize(5.556e-3, 5.556e-3)
+    nine = sk.discretize(0.05, 5.556e-3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(sk.LayoutError, match="finite"):
+            sk.export_layout(sk.DescriptorVector(side_l=one.side_l, values=np.array([[bad]])),
+                             one, f_hz=27e9)
+        values = np.full((9, 9), 1e-3)
+        values[4, 2] = bad
+        with pytest.raises(sk.LayoutError, match="finite"):
+            sk.export_layout(sk.DescriptorVector(side_l=nine.side_l, values=values),
+                             nine, f_hz=27e9)
+
+
+def test_export_layout_rejects_empty_layout():
+    grid = sk.ApertureGrid(side_l=0.0, pitch=5.556e-3, p_count=0, q_count=0)
+    with pytest.raises(sk.LayoutError, match="at least one cell"):
+        sk.export_layout(sk.DescriptorVector(side_l=0.0, values=np.zeros((0, 0))),
+                         grid, f_hz=27e9)
+
+
+# values that json writes in every float form: signed zeros, subnormals, short
+# and long decimals, exponents both ways
+_LAYOUT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-309, 1e-3, 5e-3,
+                     0.1, 1e16, 1.5e-7, 123456789.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), pool=st.lists(_LAYOUT_VALUES, min_size=1, max_size=6),
+       data=st.data(), f_hz=st.floats(1e6, 1e12), scenario_hash=st.text(max_size=8))
+def test_export_layout_matches_json_encoder(n, pool, data, f_hz, scenario_hash):
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n,
+                               max_size=n * n))
+    values = np.array([pool[i] for i in picks]).reshape(n, n)
+    grid = sk.ApertureGrid(side_l=n * 0.01, pitch=0.01, p_count=n, q_count=n)
+    d = sk.DescriptorVector(side_l=grid.side_l, values=values)
+    doc = {"meta": {"f_hz": f_hz, "L_m": grid.side_l, "delta_m": grid.pitch, "B": 1,
+                    "scenario_hash": scenario_hash},
+           "cells": values.tolist()}
+    expected = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert sk.export_layout(d, grid, f_hz, scenario_hash) == expected
 
 
 @pytest.mark.parametrize("meta", [

@@ -7,6 +7,8 @@ import pytest
 import skinlink as sk
 from skinlink.cli import main
 
+from helpers import table_csv
+
 BASE_CONFIG = """\
 f_hz = 27e9
 p_tx_w = 0.1
@@ -113,7 +115,7 @@ def test_design_single_cell_panel(tmp_path, scenario_file):
 
 def test_design_with_table_csv(scenario_file, tmp_path):
     table_path = tmp_path / "cells.csv"
-    sk.save_reflection_table(sk.synthetic_table(u_count=16), table_path)
+    table_path.write_text(table_csv(sk.synthetic_table(u_count=16)))
     out = tmp_path / "ext"
     code = main(["design", "--scenario", scenario_file, "--side-l", "0.1",
                  "--table", str(table_path), "--out", str(out)])
@@ -187,6 +189,16 @@ def test_thresholds_gain_overflow_exit(tmp_path, capsys):
     code = main(["thresholds", "--scenario", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_side_l_with_fixed_side_exit(scenario_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", scenario_file, "--values", "0.1,0.2",
+                 "--side-l", "0.5", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a fixed panel side is not used by a side_l sweep"]
+    assert not out.exists()
 
 
 def test_sweep_bad_variable_exit(scenario_file, tmp_path):

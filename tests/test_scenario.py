@@ -104,6 +104,26 @@ def test_incident_impedance_everywhere(baseline):
     np.testing.assert_allclose(e_mag, sk.ETA0 * h_mag, rtol=1e-10)
 
 
+@pytest.mark.parametrize("x, y, shape", [
+    (0.1, -0.2, ()),
+    (np.linspace(-0.5, 0.5, 7), 0.3, (7,)),
+    (np.linspace(-0.5, 0.5, 4)[:, None], np.linspace(-0.4, 0.4, 5)[None, :], (4, 5)),
+], ids=["0-d", "1-d", "broadcast"])
+def test_incident_fields_shapes(baseline, x, y, shape):
+    e, h = sk.incident_fields(baseline, x, y)
+    assert e.shape == h.shape == (3,) + shape
+    np.testing.assert_allclose(np.linalg.norm(e, axis=0),
+                               sk.ETA0 * np.linalg.norm(h, axis=0), rtol=1e-10)
+    # each point of a batch is the field of that point alone
+    xs, ys = np.broadcast_arrays(x, y)
+    for idx in np.ndindex(shape):
+        e_pt, h_pt = sk.incident_fields(baseline, xs[idx], ys[idx])
+        np.testing.assert_allclose(e[(slice(None),) + idx], e_pt, rtol=1e-14,
+                                   atol=1e-14 * np.abs(e).max())
+        np.testing.assert_allclose(h[(slice(None),) + idx], h_pt, rtol=1e-14,
+                                   atol=1e-14 * np.abs(h).max())
+
+
 def test_incident_power_density_boresight():
     for r_tx in (7.0, 15.0, 40.0):
         s = make_scenario(r_tx=r_tx)

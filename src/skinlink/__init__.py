@@ -11,7 +11,7 @@ from .analysis import (MarkerSet, OptimalityInterval, TpaSweepRow, l_fresnel,
                        l_threshold, markers, optimality_interval, sweep)
 from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
                        import_layout, scenario_fingerprint)
-from .constants import C0, EPS0, ETA0, MU0
+from .constants import C0, ETA0
 from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_tpa,
                   ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
                   load_reflection_table, parse_reflection_table,

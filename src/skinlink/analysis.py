@@ -94,8 +94,7 @@ def _scenario_for(scenario: LinkScenario, variable: str, value: float) -> LinkSc
 
 
 def evaluate_point(scenario: LinkScenario, side_l: float,
-                   table: ReflectionLookupTable,
-                   centered: bool = False) -> TpaSweepRow:
+                   table: ReflectionLookupTable) -> TpaSweepRow:
     """The side_l sweep row of one geometry, with a fresh synthesis.
 
     Every figure reads the one snapped panel that was synthesized: a_ems its
@@ -104,9 +103,9 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
     that design and cuts apply. The row's variable is side_l and its value the
     requested side; sweep replaces both for its own variable.
     """
-    panel, _ = design_panel(scenario, side_l, table, centered=centered)
+    panel, _ = design_panel(scenario, side_l, table)
     a_ems = ems_tpa(scenario, panel)
-    a_pcs = pcs_tpa(scenario, side_l, centered=centered)
+    a_pcs = pcs_tpa(scenario, side_l)
     side = panel.grid.side_l
     return TpaSweepRow(
         variable="side_l", value=side_l, a_pcs=a_pcs, a_ems=a_ems,
@@ -120,12 +119,12 @@ def worker_count(n_tasks: int) -> int:
 
 
 def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookupTable,
-          side_l: float | None = None, centered: bool = False,
-          workers: int | None = None) -> list[TpaSweepRow]:
+          side_l: float | None = None, workers: int | None = None) -> list[TpaSweepRow]:
     """Evaluate all four attenuation figures across the swept values.
 
     The skin is re-synthesized (phase conjugation for the updated geometry) at
-    every point. For a rho sweep both antenna distances are set to rho/2. For
+    every point. For a rho sweep both antenna distances are set to rho/2.
+    Swept values are positive, except theta0, which lies in [0, pi/2). For
     sweeps over anything but side_l a finite panel side of at least one cell
     must be given, and for a side_l sweep none. Each row is evaluate_point's
     row for its geometry with the swept variable and value put in, so its
@@ -140,7 +139,10 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         raise DomainError(f"unknown sweep variable {variable!r}")
     if not values:
         raise DomainError("sweep needs at least one value")
-    if not all(math.isfinite(v) and v > 0 for v in values):
+    if variable == "theta0":
+        if not all(0.0 <= v < math.pi / 2 for v in values):   # NaN fails too
+            raise DomainError("theta0 sweep values must lie in [0, pi/2)")
+    elif not all(math.isfinite(v) and v > 0 for v in values):
         raise DomainError("sweep values must be finite and positive")
     if sorted(values) != values:
         raise DomainError("sweep values must be sorted ascending")
@@ -159,7 +161,7 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         point_scenario = _scenario_for(scenario, variable, value)
         length = value if variable == "side_l" else side_l
         try:
-            row = evaluate_point(point_scenario, length, table, centered)
+            row = evaluate_point(point_scenario, length, table)
         except SkinlinkError as exc:  # recorded per row, sweep continues
             return TpaSweepRow(variable=variable, value=value,
                                a_pcs=math.nan, a_ems=math.nan, a_opt=math.nan,
@@ -190,7 +192,7 @@ class MarkerSet:
 
 
 def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
-            table: ReflectionLookupTable, centered: bool = False) -> MarkerSet:
+            table: ReflectionLookupTable) -> MarkerSet:
     """Locate the crossing markers of a side_l sweep by an exact cell-count search.
 
     Every side snaps to a whole number p of cells, so the search bisects p
@@ -211,7 +213,7 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
 
     def row(p: int) -> TpaSweepRow:
         if p not in cache:
-            cache[p] = evaluate_point(scenario, p * pitch, table, centered)
+            cache[p] = evaluate_point(scenario, p * pitch, table)
         return cache[p]
 
     def locate(diff) -> float | None:

@@ -15,39 +15,35 @@ from .errors import GeometryError, LayoutError
 
 @dataclass(frozen=True)
 class ApertureGrid:
-    """P x Q square-cell lattice over a square panel.
+    """P x P square-cell lattice over a square panel centred on the origin.
 
     side_l is snapped to p_count*pitch so the cells tile the panel exactly.
-    Barycenters follow x_p = -L/2 + p*pitch (and likewise y_q); with
-    centered=True they are shifted by +pitch/2 to sit in the cell middles.
+    Barycenters are the cell centres, x_p = -L/2 + (p + 1/2)*pitch, and the
+    y_q are the same values.
     """
 
     side_l: float          # panel side after snapping [m]
     pitch: float           # cell pitch [m]
     p_count: int
-    q_count: int
-    centered: bool = False
 
     @property
     def cell_count(self) -> int:
-        return self.p_count * self.q_count
+        return self.p_count * self.p_count
 
     @property
     def x_centers(self) -> np.ndarray:
-        off = self.pitch / 2.0 if self.centered else 0.0
-        return -self.side_l / 2.0 + np.arange(self.p_count) * self.pitch + off
+        return -self.side_l / 2.0 + np.arange(self.p_count) * self.pitch + self.pitch / 2.0
 
     @property
     def y_centers(self) -> np.ndarray:
-        off = self.pitch / 2.0 if self.centered else 0.0
-        return -self.side_l / 2.0 + np.arange(self.q_count) * self.pitch + off
+        return self.x_centers
 
     def cell_grid(self):
         """Meshgrids (X, Y) of barycenters, indexed [p, q]."""
         return np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
 
 
-def discretize(side_l: float, pitch: float, centered: bool = False) -> ApertureGrid:
+def discretize(side_l: float, pitch: float) -> ApertureGrid:
     """Split a square panel of side side_l into cells of the given pitch.
 
     The cell count per axis is round(side_l/pitch) (half away from zero) and
@@ -58,25 +54,24 @@ def discretize(side_l: float, pitch: float, centered: bool = False) -> ApertureG
     if side_l < pitch:
         raise GeometryError(f"panel side {side_l} m is smaller than one cell ({pitch} m)")
     p = int(math.floor(side_l / pitch + 0.5))
-    return ApertureGrid(side_l=p * pitch, pitch=pitch, p_count=p, q_count=p,
-                        centered=centered)
+    return ApertureGrid(side_l=p * pitch, pitch=pitch, p_count=p)
 
 
 @dataclass(frozen=True)
 class DescriptorVector:
     """Panel descriptors D = {L; g_pq}: the side plus one meta-atom geometry per cell.
 
-    values is the (P, Q) geometry matrix indexed [p, q], the same layout as
+    values is the (P, P) geometry matrix indexed [p, q], the same layout as
     ApertureGrid.cell_grid() and as the cells of a layout document.
     """
 
     side_l: float
-    values: np.ndarray     # shape (P, Q), geometry values [m]
+    values: np.ndarray     # shape (P, P), geometry values [m]
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise LayoutError(
-                f"descriptor values must form a square P x Q matrix, got {self.values.shape}")
+                f"descriptor values must form a square P x P matrix, got {self.values.shape}")
 
 
 def scenario_fingerprint(scenario) -> str:
@@ -95,7 +90,7 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
     json.dumps(doc, indent=1, sort_keys=True) plus a newline. Non-finite cells,
     which that would write as tokens JSON does not have, raise LayoutError.
     """
-    if d.values.shape != (grid.p_count, grid.q_count):
+    if d.values.shape != (grid.p_count, grid.p_count):
         raise LayoutError("descriptor cell counts do not match the grid")
     if d.values.size == 0:
         raise LayoutError("a layout needs at least one cell")

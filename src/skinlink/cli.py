@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("design", "sweep", "cuts"):    # the commands that synthesize skins
         cmd[name].add_argument("--table", default="synthetic",
                                help="reflection table CSV path, or 'synthetic' (default)")
-        cmd[name].add_argument("--centered-cells", action="store_true",
-                               help="shift cell barycenters by half a pitch into the cells")
     for name in ("design", "cuts"):             # one panel, one receiver check
         cmd[name].add_argument("--side-l", type=float, required=True, help="panel side [m]")
         cmd[name].add_argument("--strict-fresnel", action="store_true",
@@ -156,14 +154,13 @@ def _ring_count(matrix: np.ndarray, g_lo: float, g_hi: float) -> int:
 def cmd_design(args) -> int:
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
-    panel, targets = ems.design_panel(scenario, args.side_l, table,
-                                      centered=args.centered_cells)
+    panel, targets = ems.design_panel(scenario, args.side_l, table)
     _check_receiver(args, scenario, panel)
     currents = ems.gstc_currents(panel, scenario)   # one current set for both figures
     phi = ems.synthesis_mismatch(panel.grid, currents, targets)
     a_ems = receiver_tpa(currents, scenario)
     a_opt = ems.ems_upper_bound_tpa(scenario, panel.grid.side_l)
-    a_pcs = pcs_tpa(scenario, args.side_l, centered=args.centered_cells)
+    a_pcs = pcs_tpa(scenario, args.side_l)
     rings = _ring_count(panel.d.values, *table.g_range)
 
     out = _outdir(args)
@@ -182,7 +179,7 @@ def cmd_design(args) -> int:
     }
     (out / "design_report.json").write_text(
         json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="ascii")
-    print(f"cells: {panel.grid.p_count} x {panel.grid.q_count}")
+    print(f"cells: {panel.grid.p_count} x {panel.grid.p_count}")
     print(f"residual phase mismatch: {phi:.6g} rad^2")
     print(f"ring count: {rings}")
     print(f"TPA achieved {db(a_ems):.2f} dB vs ideal {db(a_opt):.2f} dB")
@@ -197,8 +194,7 @@ def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
     values = _parse_values(args.values, args.variable)
-    rows = analysis.sweep(scenario, args.variable, values, table,
-                          side_l=args.side_l, centered=args.centered_cells)
+    rows = analysis.sweep(scenario, args.variable, values, table, side_l=args.side_l)
     out = _outdir(args)
     lines = ["var,value,a_pcs_db,a_ems_db,a_opt_db,a_inf_db,fresnel_ok"]
     for row in rows:    # a failed row's nan figures print as nan, its flag as false
@@ -211,8 +207,7 @@ def cmd_sweep(args) -> int:
     marker_set = None
     good = [r for r in rows if r.error is None]
     if args.variable == "side_l" and len(good) >= 3:
-        marker_set = analysis.markers(good, scenario, table,
-                                      centered=args.centered_cells)
+        marker_set = analysis.markers(good, scenario, table)
     _write_markers(out / "markers.json", interval, marker_set)
     for row in rows:
         if row.error is not None:
@@ -247,8 +242,7 @@ def cmd_cuts(args) -> int:
             for plane in planes]
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
-    panel, _ = ems.design_panel(scenario, args.side_l, table,
-                                centered=args.centered_cells)
+    panel, _ = ems.design_panel(scenario, args.side_l, table)
     # every map shares the panel and the receiver, so one Fresnel check covers all
     _check_receiver(args, scenario, panel)
     screens = {

@@ -124,9 +124,13 @@ _TABLE_HEADER = ["g_m", "re_gamma_xx", "im_gamma_xx", "re_gamma_yy", "im_gamma_y
 
 
 def load_reflection_table(path) -> ReflectionLookupTable:
-    """Load a CSV table (header g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy)."""
+    """Load an ASCII CSV table (header g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy)."""
     with open(path, "r", encoding="ascii", newline="") as fh:
-        return parse_reflection_table(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not ASCII text (byte {exc.start})") from None
+    return parse_reflection_table(text)
 
 
 def parse_reflection_table(text: str) -> ReflectionLookupTable:
@@ -165,7 +169,7 @@ class EmsPanel:
     table: ReflectionLookupTable
 
     def __post_init__(self):
-        if self.d.values.shape != (self.grid.p_count, self.grid.q_count):
+        if self.d.values.shape != (self.grid.p_count, self.grid.p_count):
             raise LayoutError("descriptor cell counts do not match the grid")
         if not abs(self.d.side_l - self.grid.side_l) <= 1e-12:  # NaN fails too
             raise LayoutError("descriptor side does not match the grid side")
@@ -188,7 +192,7 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     barycenter carrier phase, which the barycenter sample gives. Averaging the
     raw field over the cell instead would scale the currents by the average of
     the intra-cell phase ramp and count that phase twice.
-    gamma_xx/gamma_yy broadcast against the (P, Q) cell lattice.
+    gamma_xx/gamma_yy broadcast against the (P, P) cell lattice.
     """
     e_inc, h_inc = incident_fields(scenario, *grid.cell_grid())
     gxx = np.broadcast_to(np.asarray(gamma_xx), e_inc.shape[1:])
@@ -203,7 +207,7 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
 
 def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarray:
     """Phase-conjugation targets: minus the receiver-path phase of each cell,
-    as (P, Q) phases [rad] wrapped to (-pi, pi] and indexed [p, q]."""
+    as (P, P) phases [rad] wrapped to (-pi, pi] and indexed [p, q]."""
     obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
     X, Y = grid.cell_grid()
     k = 2.0 * math.pi / scenario.wavelength
@@ -239,7 +243,7 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     a per-cell nearest-phase lookup over the table interpolated at a 1 um
     geometry resolution. Matching targets the y-polarized electric current.
     """
-    if targets.shape != (grid.p_count, grid.q_count):
+    if targets.shape != (grid.p_count, grid.p_count):
         raise LayoutError("target phases do not match the grid")
     g_fine, gyy_fine = table.dense_grid()
     cand = np.angle(1.0 - gyy_fine)
@@ -256,9 +260,9 @@ def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,
     The phase compared is that of the y-polarized electric current je_y, the
     current synthesize_layout matches, read from the currents the layout
     carries (gstc_currents), so the figure describes the evaluated panel.
-    currents and targets must both be shaped like the grid's (P, Q) cells.
+    currents and targets must both be shaped like the grid's (P, P) cells.
     """
-    shape = (grid.p_count, grid.q_count)
+    shape = (grid.p_count, grid.p_count)
     if targets.shape != shape or currents.je_y.shape != shape:
         raise LayoutError("currents or target phases do not match the grid")
     err = wrap_phase(np.angle(currents.je_y) - targets)
@@ -266,9 +270,9 @@ def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,
 
 
 def design_panel(scenario: LinkScenario, side_l: float,
-                 table: ReflectionLookupTable, centered: bool = False):
+                 table: ReflectionLookupTable):
     """Discretize, target and synthesize a skin; returns (EmsPanel, target phases)."""
-    grid = discretize(side_l, scenario.pitch, centered=centered)
+    grid = discretize(side_l, scenario.pitch)
     targets = ideal_current_phases(grid, scenario)
     d = synthesize_layout(grid, table, targets, scenario)
     return EmsPanel(grid=grid, d=d, table=table), targets

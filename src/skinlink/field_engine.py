@@ -41,7 +41,7 @@ class SurfaceCurrents:
     """Per-cell complex current coefficients on an aperture grid.
 
     je_* are electric [A/m] and jm_* magnetic [V/m] surface-current expansion
-    coefficients, all shaped (P, Q) and indexed [p, q].
+    coefficients, all shaped (P, P) and indexed [p, q].
     """
 
     je_x: np.ndarray
@@ -51,7 +51,7 @@ class SurfaceCurrents:
     grid: ApertureGrid
 
     def __post_init__(self):
-        shape = (self.grid.p_count, self.grid.q_count)
+        shape = (self.grid.p_count, self.grid.p_count)
         for name in ("je_x", "je_y", "jm_x", "jm_y"):
             arr = getattr(self, name)
             if arr.shape != shape:

@@ -26,12 +26,12 @@ def pcs_currents(panel: PcsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     return reflection_currents(panel.grid, scenario, -1.0, -1.0)
 
 
-def pcs_tpa(scenario: LinkScenario, side_l: float, centered: bool = False) -> float:
+def pcs_tpa(scenario: LinkScenario, side_l: float) -> float:
     """Path attenuation P_rx/P_tx of a conducting screen of the given side;
     evaluates only, the Fresnel check is the command's (see receiver_tpa)."""
     if side_l <= 0:
         raise DomainError("panel side must be positive")
-    grid = discretize(side_l, scenario.pitch, centered=centered)
+    grid = discretize(side_l, scenario.pitch)
     currents = pcs_currents(PcsPanel(grid=grid), scenario)
     return receiver_tpa(currents, scenario)
 

@@ -182,7 +182,12 @@ def load_scenario(path) -> LinkScenario:
     """Load a scenario config file.
 
     Keys: f_hz, p_tx_w, g_tx_dbi, g_rx_dbi, r_tx_m, r_rx_m, theta0_deg and the
-    optional delta_m. '#' starts a comment. Unknown keys are a hard error.
+    optional delta_m. '#' starts a comment. Unknown keys are a hard error, and
+    so is a file that is not UTF-8 text.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_scenario(text)

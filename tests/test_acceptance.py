@@ -78,7 +78,7 @@ def test_criterion_7_oracle_equivalence():
     for case in range(50):
         p = int(rng.choice([4, 8, 12, 16, 24, 32]))
         grid = sk.discretize(p * delta, delta)
-        shape = (grid.p_count, grid.q_count)
+        shape = (grid.p_count, grid.p_count)
 
         def draw():
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -14,24 +14,19 @@ import skinlink as sk
 def test_cell_counts():
     assert sk.discretize(0.8, 5.556e-3).p_count == 144
     assert sk.discretize(1.0, 5.556e-3).p_count == 180
-    grid = sk.discretize(0.8, 5.556e-3)
-    assert grid.q_count == grid.p_count
+    assert sk.discretize(0.8, 5.556e-3).cell_count == 144 * 144
 
 
 def test_single_cell_grid():
     delta = 5.556e-3
     grid = sk.discretize(delta, delta)
-    assert grid.p_count == grid.q_count == 1
-    assert grid.x_centers[0] == pytest.approx(-delta / 2.0, abs=0)
-    assert grid.y_centers[0] == pytest.approx(-delta / 2.0, abs=0)
-
-
-def test_centered_cells_offset():
-    delta = 5.556e-3
-    grid = sk.discretize(delta, delta, centered=True)
+    assert grid.p_count == 1 and grid.cell_count == 1
     assert grid.x_centers[0] == 0.0
-    grid5 = sk.discretize(5 * delta, delta, centered=True)
+    assert grid.y_centers[0] == 0.0
+    # the middle cell of any odd lattice sits on the specular point
+    grid5 = sk.discretize(5 * delta, delta)
     assert grid5.x_centers[2] == pytest.approx(0.0, abs=1e-15)
+    assert grid5.y_centers[2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_degenerate_aperture_rejected():
@@ -45,8 +40,8 @@ def test_barycenter_formula_and_tiling():
     grid = sk.discretize(0.8, 5.556e-3)
     L, d = grid.side_l, grid.pitch
     for p in (0, 1, 71, 143):
-        assert grid.x_centers[p] == pytest.approx(-L / 2.0 + p * d, abs=1e-15)
-    area = grid.p_count * grid.q_count * d * d
+        assert grid.x_centers[p] == pytest.approx(-L / 2.0 + (p + 0.5) * d, abs=1e-15)
+    area = grid.cell_count * d * d
     assert abs(area - L * L) <= 1e-9 * L * L
 
 
@@ -77,7 +72,7 @@ def test_layout_roundtrip_single_cell():
 def test_layout_roundtrip_bit_exact():
     rng = np.random.default_rng(11)
     grid = sk.discretize(0.05, 5.556e-3)
-    m = rng.uniform(0.3e-3, 5e-3, size=(grid.p_count, grid.q_count))
+    m = rng.uniform(0.3e-3, 5e-3, size=(grid.p_count, grid.p_count))
     d = sk.DescriptorVector(side_l=grid.side_l, values=m)
     doc = sk.export_layout(d, grid, f_hz=27e9)
     d2, _ = sk.import_layout(doc)
@@ -119,7 +114,7 @@ def test_export_layout_rejects_non_finite_cells():
 
 
 def test_export_layout_rejects_empty_layout():
-    grid = sk.ApertureGrid(side_l=0.0, pitch=5.556e-3, p_count=0, q_count=0)
+    grid = sk.ApertureGrid(side_l=0.0, pitch=5.556e-3, p_count=0)
     with pytest.raises(sk.LayoutError, match="at least one cell"):
         sk.export_layout(sk.DescriptorVector(side_l=0.0, values=np.zeros((0, 0))),
                          grid, f_hz=27e9)
@@ -140,7 +135,7 @@ def test_export_layout_matches_json_encoder(n, pool, data, f_hz, scenario_hash):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n,
                                max_size=n * n))
     values = np.array([pool[i] for i in picks]).reshape(n, n)
-    grid = sk.ApertureGrid(side_l=n * 0.01, pitch=0.01, p_count=n, q_count=n)
+    grid = sk.ApertureGrid(side_l=n * 0.01, pitch=0.01, p_count=n)
     d = sk.DescriptorVector(side_l=grid.side_l, values=values)
     doc = {"meta": {"f_hz": f_hz, "L_m": grid.side_l, "delta_m": grid.pitch, "B": 1,
                     "scenario_hash": scenario_hash},
@@ -178,5 +173,5 @@ def test_synthesized_layout_has_concentric_rings(panel08, table):
     m = panel.d.values
     lo, hi = table.g_range
     assert ring_count(m, lo, hi) > 1
-    # concentric structure: the pattern is symmetric about the y = 0 row
-    np.testing.assert_allclose(m[:, 1:], m[:, :0:-1], atol=1e-12)
+    # concentric structure: the pattern is mirror-symmetric about the y = 0 line
+    assert np.array_equal(m, m[:, ::-1])

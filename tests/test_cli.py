@@ -74,6 +74,31 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_undecodable_scenario_exit(tmp_path, capsys):
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_bytes(BASE_CONFIG.encode("ascii") + b"# 30 \xb5m\n")   # latin-1 micro sign
+    out = tmp_path / "o"
+    code = main(["thresholds", "--scenario", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_undecodable_table_exit(scenario_file, tmp_path, capsys):
+    table_path = tmp_path / "bom.csv"
+    table_path.write_bytes(b"\xef\xbb\xbf" + table_csv(sk.synthetic_table()).encode("ascii"))
+    out = tmp_path / "o"
+    code = main(["design", "--scenario", scenario_file, "--side-l", "0.1",
+                 "--table", str(table_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not ASCII text" in err
+    assert not out.exists()
+
+
 def test_design_artifacts_and_determinism(scenario_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -217,6 +242,27 @@ def test_sweep_rho_rows(scenario_file, tmp_path):
     assert lines[1].startswith("rho,")
 
 
+def test_sweep_theta0_from_normal_incidence(scenario_file, tmp_path):
+    out = tmp_path / "th"
+    code = main(["sweep", "--scenario", scenario_file, "--variable", "theta0",
+                 "--values", "0,10,20", "--side-l", "0.3", "--out", str(out)])
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[1].startswith("theta0,0.0,") and lines[1].endswith(",true")
+
+
+@pytest.mark.parametrize("values", ["-5,10", "10,90", "10,95"])
+def test_sweep_theta0_out_of_range_exit(scenario_file, tmp_path, capsys, values):
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", scenario_file, "--variable", "theta0",
+                 f"--values={values}", "--side-l", "0.3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: theta0 sweep values must lie in [0, pi/2)"]
+    assert not out.exists()
+
+
 def test_cuts_artifacts(scenario_file, tmp_path):
     out = tmp_path / "cuts"
     code = main(["cuts", "--scenario", scenario_file, "--side-l", "0.2",
@@ -292,11 +338,15 @@ def test_non_finite_geometry_exit(scenario_file, tmp_path, capsys, argv, message
     ["thresholds", "--scenario", "SCN", "--table", "x.csv"],
     ["thresholds", "--scenario", "SCN", "--strict-fresnel"],
     ["thresholds", "--scenario", "SCN", "--centered-cells"],
+    ["design", "--scenario", "SCN", "--side-l", "0.2", "--centered-cells"],
+    ["sweep", "--scenario", "SCN", "--values", "0.2,0.3", "--centered-cells"],
+    ["cuts", "--scenario", "SCN", "--side-l", "0.2", "--centered-cells"],
     ["sweep", "--scenario", "SCN", "--values", "0.2,0.3", "--strict-fresnel"],
     ["cuts", "--scenario", "SCN", "--side-l", "0.2", "--points", "many"],
     [],
 ], ids=["design-bad-float", "design-no-scenario", "design-unknown-flag",
         "thresholds-table", "thresholds-strict-fresnel", "thresholds-centered-cells",
+        "design-centered-cells", "sweep-centered-cells", "cuts-centered-cells",
         "sweep-strict-fresnel", "cuts-bad-int", "no-command"])
 def test_usage_error_exit(scenario_file, tmp_path, capsys, argv):
     # exit 1 like any bad input; for thresholds, 2 would read as an empty interval

@@ -110,14 +110,14 @@ def test_gamma_lookup_range(table):
 # --- ideal phases ---------------------------------------------------------
 
 def test_ideal_phases_center_cell(baseline):
-    grid = sk.discretize(5 * baseline.pitch, baseline.pitch, centered=True)
+    grid = sk.discretize(5 * baseline.pitch, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
     center = grid.p_count // 2
     assert targets[center, center] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ideal_phases_mirror_symmetry(baseline):
-    grid = sk.discretize(7 * baseline.pitch, baseline.pitch, centered=True)
+    grid = sk.discretize(7 * baseline.pitch, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
     np.testing.assert_allclose(targets, targets[:, ::-1], atol=1e-12)
 
@@ -294,7 +294,7 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
 
 def test_panel_validation(baseline, table):
     grid = sk.discretize(0.05, baseline.pitch)
-    shape = (grid.p_count, grid.q_count)
+    shape = (grid.p_count, grid.p_count)
     good = sk.DescriptorVector(side_l=grid.side_l, values=np.full(shape, 2e-3))
     sk.EmsPanel(grid=grid, d=good, table=table)
     for g in (9e-3, math.nan):
@@ -366,7 +366,7 @@ def test_propagation_route_matches_coherent_closed_form(baseline):
     # to E_phi (the sinc is the cell element factor along x), and nothing to E_theta
     grid = sk.discretize(32 * baseline.pitch, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
-    shape = (grid.p_count, grid.q_count)
+    shape = (grid.p_count, grid.p_count)
     currents = sk.SurfaceCurrents(
         je_x=np.zeros(shape, complex),
         je_y=np.exp(1j * targets),
@@ -395,7 +395,7 @@ def test_phase_flip_strictly_reduces_focus(baseline, table):
     je_x, je_y = currents.je_x.copy(), currents.je_y.copy()
     jm_x, jm_y = currents.jm_x.copy(), currents.jm_y.copy()
     for p in range(grid.p_count):
-        for q in range(grid.q_count):
+        for q in range(grid.p_count):
             for arr in (je_x, je_y, jm_x, jm_y):
                 arr[p, q] *= -1.0
             flipped = sk.SurfaceCurrents(je_x=je_x, je_y=je_y, jm_x=jm_x,
@@ -417,7 +417,7 @@ def test_phase_flip_sampled_on_larger_grid(baseline, table):
     rng = np.random.default_rng(12)
     for _ in range(40):
         p = int(rng.integers(0, grid.p_count))
-        q = int(rng.integers(0, grid.q_count))
+        q = int(rng.integers(0, grid.p_count))
         je_x, je_y = currents.je_x.copy(), currents.je_y.copy()
         jm_x, jm_y = currents.jm_x.copy(), currents.jm_y.copy()
         for arr in (je_x, je_y, jm_x, jm_y):

@@ -19,7 +19,7 @@ def test_magnetic_current_vanishes(baseline):
 
 def test_normal_incidence_current_magnitude():
     scenario = make_scenario(theta0_deg=0.0)
-    grid = sk.discretize(5 * scenario.pitch, scenario.pitch, centered=True)
+    grid = sk.discretize(5 * scenario.pitch, scenario.pitch)
     currents = sk.pcs_currents(sk.PcsPanel(grid=grid), scenario)
     e, _ = sk.incident_fields(scenario, *grid.cell_grid())
     je_mag = np.sqrt(np.abs(currents.je_x) ** 2 + np.abs(currents.je_y) ** 2)

@@ -66,6 +66,21 @@ def test_skin_stays_below_the_ideal_bound(f, r_tx, r_rx, theta0_deg, cells):
     assert sk.db(a_ems) <= sk.db(a_opt) + 0.5
 
 
+@settings(max_examples=40, deadline=None)
+@given(**geometry)
+def test_specular_field_has_no_cross_polarization(f, r_tx, r_rx, theta0_deg, cells):
+    # the panel is centred on the specular point, so it is mirror-symmetric about
+    # the plane of incidence and the theta-hat field cancels at the receiver
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    panel, _ = sk.design_panel(scenario, cells * scenario.pitch, TABLE)
+    obs = sk.ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
+    for currents in (sk.gstc_currents(panel, scenario),
+                     sk.pcs_currents(sk.PcsPanel(grid=panel.grid), scenario)):
+        field = sk.scattered_field(currents, obs, scenario.wavelength, fresnel="off")
+        magnitude = math.hypot(abs(field.e_theta), abs(field.e_phi))
+        assert abs(field.e_theta) <= 1e-12 * magnitude
+
+
 def _oracle_error(currents, obs, wavelength):
     closed = sk.scattered_field(currents, obs, wavelength, fresnel="off")
     oracle = sk.quadrature_oracle(currents, obs, wavelength)
@@ -86,7 +101,7 @@ def test_closed_form_converges_to_the_oracle(f, theta, cells, phi, seed):
     lam = sk.wavelength(f)
     grid = sk.discretize(cells * lam / 2.0, lam / 2.0)
     rng = np.random.default_rng(seed)
-    shape = (grid.p_count, grid.q_count)
+    shape = (grid.p_count, grid.p_count)
     currents = sk.SurfaceCurrents(
         *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)),
         grid=grid)

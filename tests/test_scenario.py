@@ -11,8 +11,7 @@ from helpers import make_scenario
 
 
 def test_constants_consistency():
-    assert abs(sk.ETA0 - math.sqrt(sk.MU0 / sk.EPS0)) <= 1e-12 * sk.ETA0
-    assert abs(sk.C0 - 1.0 / math.sqrt(sk.MU0 * sk.EPS0)) <= 1e-12 * sk.C0
+    assert sk.ETA0 == 4.0e-7 * math.pi * sk.C0
 
 
 def test_wavelength_values():

@@ -23,10 +23,16 @@ def test_single_cell_grid():
     assert grid.p_count == 1 and grid.cell_count == 1
     assert grid.x_centers[0] == 0.0
     assert grid.y_centers[0] == 0.0
+
+
+def test_centered_cells_offset():
     # the middle cell of any odd lattice sits on the specular point
+    delta = 5.556e-3
     grid5 = sk.discretize(5 * delta, delta)
     assert grid5.x_centers[2] == pytest.approx(0.0, abs=1e-15)
     assert grid5.y_centers[2] == pytest.approx(0.0, abs=1e-15)
+    # and every cell is half a pitch off the panel edge
+    assert grid5.x_centers[0] == pytest.approx(-2.5 * delta + 0.5 * delta, abs=1e-15)
 
 
 def test_degenerate_aperture_rejected():

@@ -16,6 +16,7 @@ from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, db
 
 SWEEP_VARIABLES = ("side_l", "r_rx", "theta0", "rho")
+_WIN_MARGIN = 1.0 + 1e-12   # a win beats rounding: a gamma = -1 skin ties the screen
 
 
 def l_threshold(scenario: LinkScenario) -> float:
@@ -180,11 +181,10 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
 class MarkerSet:
     """Panel sides where the skin's attenuation crosses the reference curves.
 
-    l_th_ems: smallest side where the skin reaches the infinite-screen limit;
-    l_pcs_ems: smallest side beyond which the skin beats the equal-size screen.
-    Each present marker is the side p*pitch of a whole panel of p cells, the
-    smallest winning one in its bracket, not an interpolated crossing.
-    None marks an absent crossing.
+    l_th_ems: where the skin overtakes the infinite-screen limit;
+    l_pcs_ems: where the skin overtakes the equal-size screen.
+    Each is the side p*pitch of a whole panel that wins while p - 1 cells do
+    not (see markers; not always the smallest winner), or None if absent.
     """
 
     l_th_ems: float | None
@@ -199,8 +199,9 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
     between the first pair of adjacent rows that brackets an upward crossing.
     Each probe re-synthesizes the skin at side p*pitch; no cell count is
     evaluated twice, and the rows' own counts are never re-evaluated. A marker
-    is the side p*pitch of the smallest winning panel, so diff(p - 1) <= 0 <
-    diff(p), and `design --side-l` at that side reproduces it. A missing
+    is the side p*pitch of a panel that wins (by more than 1e-12 relative)
+    while p - 1 cells do not; the bisection does not promise the smallest such
+    p in the bracket. `design --side-l` at that side reproduces it. A missing
     bracket yields an absent marker, not an error.
     """
     usable = [r for r in rows if r.error is None and r.variable == "side_l"]
@@ -216,12 +217,12 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
             cache[p] = evaluate_point(scenario, p * pitch, table)
         return cache[p]
 
-    def locate(diff) -> float | None:
+    def locate(wins) -> float | None:
         for lo, hi in zip(counts, counts[1:]):
-            if diff(cache[lo]) < 0.0 < diff(cache[hi]):
-                while hi - lo > 1:    # invariant: diff(lo) <= 0 < diff(hi)
+            if not wins(cache[lo]) and wins(cache[hi]):
+                while hi - lo > 1:    # invariant: lo does not win, hi wins
                     mid = (lo + hi) // 2
-                    if diff(row(mid)) > 0.0:
+                    if wins(row(mid)):
                         hi = mid
                     else:
                         lo = mid
@@ -229,6 +230,6 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
         return None
 
     return MarkerSet(
-        l_th_ems=locate(lambda r: r.a_ems - r.a_inf),
-        l_pcs_ems=locate(lambda r: r.a_ems - r.a_pcs),
+        l_th_ems=locate(lambda r: r.a_ems > r.a_inf * _WIN_MARGIN),
+        l_pcs_ems=locate(lambda r: r.a_ems > r.a_pcs * _WIN_MARGIN),
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
-from .errors import ConfigError, SkinlinkError
+from .errors import ConfigError, FresnelValidityError, SkinlinkError
 from .field_engine import FieldCut, check_fresnel, field_cut_map, receiver_tpa
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario
@@ -101,9 +101,13 @@ def _load_table(arg: str) -> ems.ReflectionLookupTable:
 
 
 def _check_receiver(args, scenario: LinkScenario, panel: ems.EmsPanel) -> None:
-    """The command's one Fresnel check: the receiver against the snapped panel side."""
-    check_fresnel(panel.grid.side_l, scenario.wavelength, scenario.r_rx,
-                  "strict" if args.strict_fresnel else "warn")
+    """The command's one Fresnel check: strict raises, else one stderr warning line."""
+    try:
+        check_fresnel(panel.grid.side_l, scenario.wavelength, scenario.r_rx, "strict")
+    except FresnelValidityError as exc:
+        if args.strict_fresnel:
+            raise
+        print(f"warning: {exc}", file=sys.stderr)
 
 
 def _outdir(args) -> Path:

@@ -28,6 +28,7 @@ _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
 _SCURVE_SWING = 0.4            # S-curve slope modulation of the synthetic table
 _SYNTHESIS_RESOLUTION = 1e-6   # geometry step [m] of the synthesis candidate grid
 _SYNTHETIC_G_RANGE = (0.3e-3, 5.0e-3)  # patch geometry span [m] of the synthetic table
+_SYNTHETIC_PHASE_SPAN = math.radians(300.0)  # reflection phase swing of the synthetic table
 
 
 def wrap_phase(x):
@@ -97,26 +98,19 @@ class ReflectionLookupTable:
         return g_fine, self._interp_column(self.gamma_yy, g_fine)
 
 
-def synthetic_table(u_count: int = 64, phase_span: float = math.radians(300.0),
-                    loss_db: float = 0.0) -> ReflectionLookupTable:
+def synthetic_table() -> ReflectionLookupTable:
     """Stand-in lookup table for a square-patch cell family.
 
-    u_count geometry values span 0.3 mm to 5.0 mm evenly. gamma_yy follows a
-    smooth monotone S-curve of reflection phase over phase_span centered on
-    180 degrees (phase decreasing as the patch grows), with uniform magnitude
-    10^(-loss_db/20); gamma_xx mirrors gamma_yy.
+    64 geometry values span 0.3 mm to 5.0 mm evenly. gamma_yy follows a
+    smooth monotone S-curve of reflection phase over 300 degrees centered on
+    180 degrees (phase decreasing as the patch grows), with unit magnitude;
+    gamma_xx mirrors gamma_yy.
     """
-    if u_count < 2:
-        raise ConfigError("synthetic table needs at least two entries")
-    if not 0.0 < phase_span <= 2.0 * math.pi:
-        raise ConfigError("phase span must lie in (0, 2*pi]")
-    if loss_db < 0.0:
-        raise ConfigError("loss must be nonnegative to keep the cells passive")
-    x = np.linspace(0.0, 1.0, u_count)
+    x = np.linspace(0.0, 1.0, 64)
     scurve = x - _SCURVE_SWING * np.sin(2.0 * math.pi * x) / (2.0 * math.pi)
-    psi = math.pi + phase_span / 2.0 - phase_span * scurve
-    gamma = 10.0 ** (-loss_db / 20.0) * np.exp(1j * psi)
-    g = np.linspace(*_SYNTHETIC_G_RANGE, u_count)
+    psi = math.pi + _SYNTHETIC_PHASE_SPAN / 2.0 - _SYNTHETIC_PHASE_SPAN * scurve
+    gamma = np.exp(1j * psi)
+    g = np.linspace(*_SYNTHETIC_G_RANGE, x.size)
     return ReflectionLookupTable(g=g, gamma_xx=gamma.copy(), gamma_yy=gamma)
 
 
@@ -192,17 +186,13 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     barycenter carrier phase, which the barycenter sample gives. Averaging the
     raw field over the cell instead would scale the currents by the average of
     the intra-cell phase ramp and count that phase twice.
-    gamma_xx/gamma_yy broadcast against the (P, P) cell lattice.
+    With n = +z the 1/2 and 2 cancel: je_x = (gamma_xx - 1) H_y, je_y = (1 - gamma_yy) H_x,
+    jm_x = -(1 + gamma_yy) E_y, jm_y = (1 + gamma_xx) E_x, gamma broadcast over the cells.
     """
-    e_inc, h_inc = incident_fields(scenario, *grid.cell_grid())
-    gxx = np.broadcast_to(np.asarray(gamma_xx), e_inc.shape[1:])
-    gyy = np.broadcast_to(np.asarray(gamma_yy), e_inc.shape[1:])
-    e_av_x = 0.5 * (1.0 + gxx) * e_inc[0]
-    e_av_y = 0.5 * (1.0 + gyy) * e_inc[1]
-    h_av_x = 0.5 * (1.0 - gyy) * h_inc[0]
-    h_av_y = 0.5 * (1.0 - gxx) * h_inc[1]
-    return SurfaceCurrents(je_x=-2.0 * h_av_y, je_y=2.0 * h_av_x,
-                           jm_x=-2.0 * e_av_y, jm_y=2.0 * e_av_x, grid=grid)
+    e, h = incident_fields(scenario, *grid.cell_grid())
+    return SurfaceCurrents(je_x=(gamma_xx - 1.0) * h[1], je_y=(1.0 - gamma_yy) * h[0],
+                           jm_x=-(1.0 + gamma_yy) * e[1], jm_y=(1.0 + gamma_xx) * e[0],
+                           grid=grid)
 
 
 def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarray:

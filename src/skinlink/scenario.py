@@ -87,42 +87,36 @@ def incident_fields(scenario: LinkScenario, x, y):
     """Incident E and H of the gain-scaled spherical-wave source at panel points.
 
     x, y are broadcastable arrays of in-plane coordinates [m] (z = 0). Returns
-    (e, h): complex arrays of shape (3,) + broadcast shape. The wave is
-    transverse (e perpendicular to the local propagation direction) with the
-    polarization as close to the panel y axis as transversality allows, so
-    |e| = eta*|h| holds exactly at every point.
+    (e, h): complex arrays of shape (3,) + broadcast shape. The polarization is
+    the y axis minus its projection on k = p/d, with p the panel point minus
+    the transmitter and d = |p|. In closed form, with rho = sqrt(p_x^2 + p_z^2)
+    and u = amp*exp(-j*k0*d)/(d*rho), e = u*(-p_y*p_x, rho^2, -p_y*p_z)/d and
+    h = k x e/eta = u*(-p_z, 0, p_x)/eta: H is perpendicular to y (h[1] is
+    exactly 0) and |e| = eta*|h|. rho = 0 (the transmitter, or a wave along y)
+    leaves the polarization undefined.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     tx = scenario.tx_position
-    px = x - tx[0]
-    py = y - tx[1]
+    px = np.asarray(x, dtype=float) - tx[0]
+    py = np.asarray(y, dtype=float) - tx[1]
     pz = -tx[2]
     d = np.sqrt(px * px + py * py + pz * pz)
-    if np.any(d == 0.0):
-        raise GeometryError("panel point coincides with the transmitter")
-    kx, ky, kz = px / d, py / d, pz / d
+    rho = np.sqrt(px * px + pz * pz)
+    if np.any(rho == 0.0):
+        raise GeometryError("incident polarization is undefined on the transmitter's y axis")
 
-    # unit polarization: y axis minus its projection on the propagation direction
-    ex = -ky * kx
-    ey = 1.0 - ky * ky
-    ez = -ky * kz
-    norm = np.sqrt(ex * ex + ey * ey + ez * ez)
-    ex, ey, ez = ex / norm, ey / norm, ez / norm
-
-    lam = scenario.wavelength
     amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
-    scalar = amp * np.exp(-1j * (2.0 * math.pi / lam) * d) / d
+    u = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / (d * rho)
+    u_d = u / d
     # each component is written into its slot, not stacked from temporaries;
     # e[i, ...] stays an array view where e[i] of a 0-d input is a scalar
     e = np.empty((3,) + d.shape, dtype=complex)
     h = np.empty_like(e)
-    np.multiply(scalar, ex, out=e[0, ...])
-    np.multiply(scalar, ey, out=e[1, ...])
-    np.multiply(scalar, ez, out=e[2, ...])
-    np.divide(ky * e[2] - kz * e[1], ETA0, out=h[0, ...])
-    np.divide(kz * e[0] - kx * e[2], ETA0, out=h[1, ...])
-    np.divide(kx * e[1] - ky * e[0], ETA0, out=h[2, ...])
+    np.multiply(u_d, -py * px, out=e[0, ...])
+    np.multiply(u_d, rho * rho, out=e[1, ...])
+    np.multiply(u_d, -py * pz, out=e[2, ...])
+    np.multiply(u, -pz / ETA0, out=h[0, ...])
+    h[1, ...] = 0.0
+    np.multiply(u, px / ETA0, out=h[2, ...])
     return e, h
 
 

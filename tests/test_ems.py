@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import skinlink as sk
 from skinlink.ems import _nearest_candidate
 
-from helpers import make_scenario, table_csv
+from helpers import make_scenario, subsampled_table, table_csv
 
 
 # --- phase wrapping -------------------------------------------------------
@@ -38,22 +38,6 @@ def test_synthetic_table_defaults(table):
     assert np.all(np.diff(phase) < 0.0)          # strictly monotone in g
     assert phase.max() - phase.min() >= math.radians(300.0) - 1e-9
     assert np.max(np.abs(np.diff(phase))) <= 0.12
-
-
-def test_synthetic_table_loss():
-    lossy = sk.synthetic_table(loss_db=3.0)
-    np.testing.assert_allclose(np.abs(lossy.gamma_yy), 10 ** (-3.0 / 20.0), rtol=1e-12)
-
-
-def test_synthetic_table_validation():
-    with pytest.raises(sk.ConfigError):
-        sk.synthetic_table(u_count=1)
-    with pytest.raises(sk.ConfigError):
-        sk.synthetic_table(phase_span=0.0)
-    with pytest.raises(sk.ConfigError):
-        sk.synthetic_table(phase_span=2.5 * math.pi)
-    with pytest.raises(sk.ConfigError):
-        sk.synthetic_table(loss_db=-1.0)
 
 
 def test_table_validation():
@@ -140,6 +124,19 @@ def test_pec_gamma_reproduces_screen_currents(baseline):
     np.testing.assert_array_equal(sheet.jm_x, screen.jm_x)
     np.testing.assert_array_equal(sheet.jm_y, screen.jm_y)
     assert np.all(sheet.jm_x == 0.0) and np.all(sheet.jm_y == 0.0)
+
+
+def test_y_polarized_wave_drives_no_je_x(baseline, table):
+    # H of a y-polarized wave is perpendicular to y, exactly, at every cell, so
+    # neither the screen nor the skin carries an x-directed electric current
+    grid = sk.discretize(1.0, baseline.pitch)
+    _, h = sk.incident_fields(baseline, *grid.cell_grid())
+    assert np.all(h[1] == 0.0)
+    panel, _ = sk.design_panel(baseline, 1.0, table)
+    for currents in (sk.pcs_currents(sk.PcsPanel(grid=grid), baseline),
+                     sk.gstc_currents(panel, baseline)):
+        assert currents.je_x.shape == (180, 180)
+        assert np.all(currents.je_x == 0.0)
 
 
 def test_magnetic_wall_gamma(baseline):
@@ -263,7 +260,7 @@ def test_synthesis_exact_targets_give_constant_layout(baseline, table):
 def test_synthesis_percell_error_bound(baseline):
     # coarse table, targets inside the covered arc: the per-cell error is at
     # most half the largest adjacent candidate-phase gap
-    coarse = sk.synthetic_table(u_count=9)
+    coarse = subsampled_table(7)
     grid = sk.discretize(10 * baseline.pitch, baseline.pitch)
     cand = np.angle(1.0 - coarse.gamma_yy)
     gap = np.max(np.abs(np.diff(np.sort(cand))))

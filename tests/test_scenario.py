@@ -100,7 +100,7 @@ def test_incident_impedance_everywhere(baseline):
     e, h = sk.incident_fields(baseline, pts[:, 0], pts[:, 1])
     e_mag = np.linalg.norm(e, axis=0)
     h_mag = np.linalg.norm(h, axis=0)
-    np.testing.assert_allclose(e_mag, sk.ETA0 * h_mag, rtol=1e-10)
+    np.testing.assert_allclose(e_mag, sk.ETA0 * h_mag, rtol=1e-14)
 
 
 @pytest.mark.parametrize("x, y, shape", [
@@ -112,7 +112,7 @@ def test_incident_fields_shapes(baseline, x, y, shape):
     e, h = sk.incident_fields(baseline, x, y)
     assert e.shape == h.shape == (3,) + shape
     np.testing.assert_allclose(np.linalg.norm(e, axis=0),
-                               sk.ETA0 * np.linalg.norm(h, axis=0), rtol=1e-10)
+                               sk.ETA0 * np.linalg.norm(h, axis=0), rtol=1e-14)
     # each point of a batch is the field of that point alone
     xs, ys = np.broadcast_arrays(x, y)
     for idx in np.ndindex(shape):

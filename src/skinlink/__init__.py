@@ -7,8 +7,8 @@ field through a discretized Fresnel-zone radiation sum, and provides the
 closed-form attenuation bounds and panel-sizing rules.
 """
 
-from .analysis import (MarkerSet, OptimalityInterval, TpaSweepRow, l_fresnel,
-                       l_threshold, markers, optimality_interval, sweep)
+from .analysis import (MarkerSet, OptimalityInterval, TpaSweepRow, l_threshold,
+                       markers, optimality_interval, sweep)
 from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
                        import_layout, scenario_fingerprint)
 from .constants import C0, ETA0
@@ -17,14 +17,13 @@ from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_tpa,
                   load_reflection_table, parse_reflection_table,
                   reflection_currents, synthesis_mismatch, synthesize_layout,
                   synthetic_table, wrap_phase)
-from .errors import (ConfigError, DomainError, FresnelValidityError,
-                     FresnelValidityWarning, GeometryError, LayoutError,
-                     SkinlinkError)
+from .errors import (ConfigError, DomainError, FresnelValidityError, GeometryError,
+                     LayoutError, SkinlinkError)
 from .field_engine import (CutMap, FieldCut, ObservationPoint, ScatteredField,
                            SurfaceCurrents, beta, check_fresnel, field_cut_map,
-                           fresnel_min_distance, quadrature_oracle, received_power,
-                           receiver_frame, receiver_tpa, scattered_field,
-                           scattered_field_at_points, sinc)
+                           fresnel_min_distance, l_fresnel, quadrature_oracle,
+                           received_power, receiver_frame, receiver_tpa,
+                           scattered_field, scattered_field_at_points, sinc)
 from .pcs import PcsPanel, pcs_asymptotic_tpa, pcs_currents, pcs_tpa
 from .scenario import (LinkScenario, db, incident_fields, load_scenario,
                        parse_scenario, wavelength)

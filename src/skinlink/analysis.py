@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .aperture import discretize
 from .ems import ReflectionLookupTable, design_panel, ems_tpa, ems_upper_bound_tpa
-from .errors import DomainError, FresnelValidityError, SkinlinkError
-from .field_engine import fresnel_min_distance
+from .errors import DomainError, SkinlinkError
+from .field_engine import fresnel_min_distance, l_fresnel
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, db
 
@@ -26,16 +26,6 @@ def l_threshold(scenario: LinkScenario) -> float:
         raise DomainError("threshold side diverges at grazing incidence")
     return math.sqrt(scenario.wavelength / c
                      * scenario.r_tx * scenario.r_rx / (scenario.r_tx + scenario.r_rx))
-
-
-def l_fresnel(scenario: LinkScenario) -> float:
-    """Largest panel side [m] keeping the receiver inside the Fresnel-valid zone."""
-    lam = scenario.wavelength
-    if scenario.r_rx < 10.0 * lam:
-        raise FresnelValidityError(
-            f"receiver distance {scenario.r_rx} m is below 10 wavelengths")
-    return min(scenario.r_rx / (10.0 * math.sqrt(2.0)),
-               (lam / (2.0 * math.sqrt(2.0)) * (scenario.r_rx / 0.62) ** 2) ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)

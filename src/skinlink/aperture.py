@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,17 @@ from .errors import GeometryError, LayoutError
 class ApertureGrid:
     """P x P square-cell lattice over a square panel centred on the origin.
 
-    side_l is snapped to p_count*pitch so the cells tile the panel exactly.
+    The side is p_count*pitch, so the cells tile the panel exactly.
     Barycenters are the cell centres, x_p = -L/2 + (p + 1/2)*pitch, and the
     y_q are the same values.
     """
 
-    side_l: float          # panel side after snapping [m]
     pitch: float           # cell pitch [m]
     p_count: int
+
+    @property
+    def side_l(self) -> float:
+        return self.p_count * self.pitch
 
     @property
     def cell_count(self) -> int:
@@ -54,18 +58,17 @@ def discretize(side_l: float, pitch: float) -> ApertureGrid:
     if side_l < pitch:
         raise GeometryError(f"panel side {side_l} m is smaller than one cell ({pitch} m)")
     p = int(math.floor(side_l / pitch + 0.5))
-    return ApertureGrid(side_l=p * pitch, pitch=pitch, p_count=p)
+    return ApertureGrid(pitch=pitch, p_count=p)
 
 
 @dataclass(frozen=True)
 class DescriptorVector:
-    """Panel descriptors D = {L; g_pq}: the side plus one meta-atom geometry per cell.
+    """Panel descriptors D = {L; g_pq}: one meta-atom geometry per cell.
 
-    values is the (P, P) geometry matrix indexed [p, q], the same layout as
-    ApertureGrid.cell_grid() and as the cells of a layout document.
+    values is the (P, P) geometry matrix indexed [p, q], laid out like
+    ApertureGrid.cell_grid() and a layout document's cells; L is the grid's side.
     """
 
-    side_l: float
     values: np.ndarray     # shape (P, P), geometry values [m]
 
     def __post_init__(self):
@@ -119,19 +122,28 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
 
 
 def import_layout(text: str):
-    """Parse an export_layout document; returns (DescriptorVector, meta dict)."""
+    """Parse an export_layout document; returns (DescriptorVector, meta dict).
+
+    The cells must be finite JSON numbers, L_m and delta_m finite, positive
+    numbers with L_m = P*delta_m (to 1e-12 relative), and B, if present, 1.
+    """
     try:
         doc = json.loads(text)
         meta = doc["meta"]
-        cells = np.asarray(doc["cells"], dtype=float)
-        side_l = float(meta["L_m"])   # TypeError for a meta that is no object
-        b_count = int(meta.get("B", 1))
+        cells = np.asarray(doc["cells"])
+        sizes = meta["L_m"], meta["delta_m"]   # TypeError for a meta that is no object
+        b_count = meta.get("B", 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise LayoutError(f"malformed layout document: {exc!r}") from exc
-    if not (math.isfinite(side_l) and side_l > 0):
-        raise LayoutError(f"layout side L_m must be finite and positive, got {side_l!r}")
-    if b_count != 1:
+    # not bools; an exact comparison, so an int too large for a float fails too
+    if not all(type(v) in (int, float) and 0.0 < v <= sys.float_info.max for v in sizes):
+        raise LayoutError(f"layout L_m and delta_m must be finite and positive, got {sizes}")
+    if type(b_count) is not int or b_count != 1:
         raise LayoutError("only single-descriptor (B = 1) layouts are supported")
-    if not np.all(np.isfinite(cells)):
-        raise LayoutError("layout cells must be finite")
-    return DescriptorVector(side_l=side_l, values=cells), meta
+    if cells.dtype.kind not in "iuf" or not np.all(np.isfinite(cells)):
+        raise LayoutError("layout cells must be finite numbers")
+    d = DescriptorVector(values=np.asarray(cells, dtype=float))
+    side_l, pitch = sizes
+    if not abs(side_l - len(d.values) * pitch) <= 1e-12 * side_l:
+        raise LayoutError(f"L_m = {side_l} m is not {len(d.values)} cells of delta_m = {pitch} m")
+    return d, meta

@@ -253,8 +253,7 @@ def cmd_cuts(args) -> int:
         "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
         "ems": ems.gstc_currents(panel, scenario),
     }
-    maps = [(f"cuts_{screen}_{cut.plane}",
-             field_cut_map(currents, cut, scenario, fresnel="off"))
+    maps = [(f"cuts_{screen}_{cut.plane}", field_cut_map(currents, cut, scenario))
             for cut in cuts for screen, currents in screens.items()]
     out = _outdir(args)
     for name, cut_map in maps:

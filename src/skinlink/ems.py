@@ -165,8 +165,6 @@ class EmsPanel:
     def __post_init__(self):
         if self.d.values.shape != (self.grid.p_count, self.grid.p_count):
             raise LayoutError("descriptor cell counts do not match the grid")
-        if not abs(self.d.side_l - self.grid.side_l) <= 1e-12:  # NaN fails too
-            raise LayoutError("descriptor side does not match the grid side")
         self.table.check_range(self.d.values)
 
 
@@ -240,7 +238,7 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     _, h_inc = incident_fields(scenario, *grid.cell_grid())
     need = wrap_phase(targets - np.angle(h_inc[0]))
     idx, _ = _nearest_candidate(cand, need)
-    return DescriptorVector(side_l=grid.side_l, values=g_fine[idx])
+    return DescriptorVector(values=g_fine[idx])
 
 
 def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,

@@ -23,7 +23,3 @@ class ConfigError(SkinlinkError):
 
 class FresnelValidityError(SkinlinkError):
     """Observation geometry violates the Fresnel validity condition in strict mode."""
-
-
-class FresnelValidityWarning(UserWarning):
-    """Observation geometry violates the Fresnel validity condition (advisory mode)."""

@@ -22,18 +22,19 @@ independent check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aperture import ApertureGrid
 from .constants import ETA0
-from .errors import (ConfigError, DomainError, FresnelValidityError,
-                     FresnelValidityWarning, GeometryError)
+from .errors import ConfigError, DomainError, FresnelValidityError, GeometryError
 
 _POINT_CHUNK = 256                 # observation points per vectorized chunk
 _TAYLOR_TOL = 1e-16                # remainder bound of the cross-term series
+_FRESNEL_DIAGONALS = 10.0          # the Fresnel bound is the largest of 10 panel diagonals D,
+_FRESNEL_RADIATING = 0.62          # 0.62*sqrt(D^3/lambda)
+_FRESNEL_WAVELENGTHS = 10.0        # and 10 wavelengths
 
 
 @dataclass(frozen=True)
@@ -119,26 +120,30 @@ def fresnel_min_distance(side_l: float, wavelength: float) -> float:
     if side_l <= 0 or wavelength <= 0:
         raise DomainError("panel side and wavelength must be positive")
     diag = side_l * math.sqrt(2.0)
-    return max(10.0 * diag,
-               0.62 * math.sqrt(2.0 * side_l**3 * math.sqrt(2.0) / wavelength),
-               10.0 * wavelength)
+    return max(_FRESNEL_DIAGONALS * diag,
+               _FRESNEL_RADIATING * math.sqrt(2.0 * side_l**3 * math.sqrt(2.0) / wavelength),
+               _FRESNEL_WAVELENGTHS * wavelength)
 
 
-def check_fresnel(side_l: float, wavelength: float, r: float, mode: str = "warn") -> bool:
-    """Check r against the Fresnel bound; warn, raise or stay silent per mode."""
-    if mode not in ("warn", "strict", "off"):
+def l_fresnel(scenario) -> float:
+    """Largest panel side [m] keeping the receiver inside the Fresnel-valid zone."""
+    lam, r = scenario.wavelength, scenario.r_rx
+    if r < _FRESNEL_WAVELENGTHS * lam:
+        raise FresnelValidityError(
+            f"receiver distance {r} m is below {_FRESNEL_WAVELENGTHS:g} wavelengths")
+    return min(r / (_FRESNEL_DIAGONALS * math.sqrt(2.0)),
+               (lam / (2.0 * math.sqrt(2.0)) * (r / _FRESNEL_RADIATING) ** 2) ** (1.0 / 3.0))
+
+
+def check_fresnel(side_l: float, wavelength: float, r: float, mode: str) -> None:
+    """In mode "strict", raise FresnelValidityError if r is inside the Fresnel bound."""
+    if mode not in ("strict", "off"):
         raise ConfigError(f"unknown Fresnel mode {mode!r}")
-    ok = r >= fresnel_min_distance(side_l, wavelength)
-    if not ok and mode == "strict":
+    r_min = fresnel_min_distance(side_l, wavelength)
+    if mode == "strict" and not r >= r_min:
         raise FresnelValidityError(
             f"observation at r = {r:.3f} m is inside the Fresnel bound "
-            f"{fresnel_min_distance(side_l, wavelength):.3f} m for L = {side_l:.3f} m")
-    if not ok and mode == "warn":
-        warnings.warn(
-            f"observation at r = {r:.3f} m is inside the Fresnel bound for "
-            f"L = {side_l:.3f} m; field values there are approximate",
-            FresnelValidityWarning, stacklevel=3)
-    return ok
+            f"{r_min:.3f} m for L = {side_l:.3f} m")
 
 
 def bracket_weights(theta, phi):
@@ -238,12 +243,12 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
 
 
 def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
-                    wavelength: float, fresnel: str = "warn") -> ScatteredField:
+                    wavelength: float, fresnel: str = "off") -> ScatteredField:
     """Scattered field at one observation point from the closed-form cell sum.
 
     Each cell contributes a phasor exp(j*2*pi/lambda * beta_pq) times the
     current brackets, under a common prefactor with the per-cell sinc element
-    factors. fresnel selects the validity check mode: warn, strict or off.
+    factors. fresnel="strict" rejects a point inside the Fresnel bound.
     """
     check_fresnel(currents.grid.side_l, wavelength, obs.r, fresnel)
     e_theta, e_phi = _cell_sum(currents, np.array([obs.r]), np.array([obs.theta]),
@@ -292,7 +297,7 @@ def receiver_tpa(currents: SurfaceCurrents, scenario) -> float:
     the design and cuts commands check it once (cli) and sweep reports it per row.
     """
     obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
-    field = scattered_field(currents, obs, scenario.wavelength, fresnel="off")
+    field = scattered_field(currents, obs, scenario.wavelength)
     return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
 
 
@@ -366,7 +371,7 @@ class FieldCut:
 
     plane: str
     half_extent: float
-    points: int = 61
+    points: int
 
     def __post_init__(self):
         if self.plane not in ("transversal", "longitudinal"):
@@ -402,13 +407,13 @@ def receiver_frame(theta0: float):
 
 
 def field_cut_map(currents: SurfaceCurrents, cut: FieldCut, scenario,
-                  fresnel: str = "warn") -> CutMap:
+                  fresnel: str = "off") -> CutMap:
     """Sample |E_sca| on a uniform grid in the receiver-local cut plane.
 
     The transversal cut spans (x'', y'') at z'' = 0 and the longitudinal cut
-    spans (x'', z'') at y'' = 0, both centered on the receiver. The Fresnel
-    check applies to the cut center; the map itself may sample the caustic
-    region around it.
+    spans (x'', z'') at y'' = 0, both centered on the receiver. fresnel="strict"
+    checks the cut center; the map itself may sample the caustic region
+    around it.
     """
     check_fresnel(currents.grid.side_l, scenario.wavelength, scenario.r_rx, fresnel)
     n = cut.points if cut.half_extent > 0 else 1

@@ -59,15 +59,15 @@ def test_grid_symmetry():
 
 
 def test_descriptor_rejects_non_matrix_values():
-    sk.DescriptorVector(side_l=0.1, values=np.zeros((3, 3)))
+    sk.DescriptorVector(values=np.zeros((3, 3)))
     for values in (np.zeros(9), np.zeros((2, 3)), np.zeros((1, 2, 2))):
         with pytest.raises(sk.LayoutError):
-            sk.DescriptorVector(side_l=0.1, values=values)
+            sk.DescriptorVector(values=values)
 
 
 def test_layout_roundtrip_single_cell():
     grid = sk.discretize(5.556e-3, 5.556e-3)
-    d = sk.DescriptorVector(side_l=grid.side_l, values=np.array([[3.0e-3]]))
+    d = sk.DescriptorVector(values=np.array([[3.0e-3]]))
     doc = sk.export_layout(d, grid, f_hz=27e9, scenario_hash="demo")
     d2, meta = sk.import_layout(doc)
     np.testing.assert_array_equal(d2.values, [[3.0e-3]])
@@ -79,10 +79,10 @@ def test_layout_roundtrip_bit_exact():
     rng = np.random.default_rng(11)
     grid = sk.discretize(0.05, 5.556e-3)
     m = rng.uniform(0.3e-3, 5e-3, size=(grid.p_count, grid.p_count))
-    d = sk.DescriptorVector(side_l=grid.side_l, values=m)
+    d = sk.DescriptorVector(values=m)
     doc = sk.export_layout(d, grid, f_hz=27e9)
-    d2, _ = sk.import_layout(doc)
-    assert d2.side_l == d.side_l
+    d2, meta = sk.import_layout(doc)
+    assert meta["L_m"] == grid.side_l
     np.testing.assert_array_equal(d2.values, d.values)
     # a second export of the reimported layout is byte-identical
     assert sk.export_layout(d2, grid, f_hz=27e9) == doc
@@ -90,13 +90,13 @@ def test_layout_roundtrip_bit_exact():
 
 def test_layout_size_mismatch():
     grid = sk.discretize(0.05, 5.556e-3)
-    d = sk.DescriptorVector(side_l=grid.side_l, values=np.zeros((2, 2)))
+    d = sk.DescriptorVector(values=np.zeros((2, 2)))
     with pytest.raises(sk.LayoutError):
         sk.export_layout(d, grid, f_hz=27e9)
     with pytest.raises(sk.LayoutError):
         sk.import_layout("{\"meta\": {}}")
     doc = json.loads(sk.export_layout(
-        sk.DescriptorVector(side_l=grid.side_l, values=np.full((9, 9), 1e-3)), grid,
+        sk.DescriptorVector(values=np.full((9, 9), 1e-3)), grid,
         f_hz=27e9))
     for bad in (float("nan"), float("inf")):
         doc["cells"][4][2] = bad
@@ -110,20 +110,17 @@ def test_export_layout_rejects_non_finite_cells():
     nine = sk.discretize(0.05, 5.556e-3)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(sk.LayoutError, match="finite"):
-            sk.export_layout(sk.DescriptorVector(side_l=one.side_l, values=np.array([[bad]])),
-                             one, f_hz=27e9)
+            sk.export_layout(sk.DescriptorVector(values=np.array([[bad]])), one, f_hz=27e9)
         values = np.full((9, 9), 1e-3)
         values[4, 2] = bad
         with pytest.raises(sk.LayoutError, match="finite"):
-            sk.export_layout(sk.DescriptorVector(side_l=nine.side_l, values=values),
-                             nine, f_hz=27e9)
+            sk.export_layout(sk.DescriptorVector(values=values), nine, f_hz=27e9)
 
 
 def test_export_layout_rejects_empty_layout():
-    grid = sk.ApertureGrid(side_l=0.0, pitch=5.556e-3, p_count=0)
+    grid = sk.ApertureGrid(pitch=5.556e-3, p_count=0)
     with pytest.raises(sk.LayoutError, match="at least one cell"):
-        sk.export_layout(sk.DescriptorVector(side_l=0.0, values=np.zeros((0, 0))),
-                         grid, f_hz=27e9)
+        sk.export_layout(sk.DescriptorVector(values=np.zeros((0, 0))), grid, f_hz=27e9)
 
 
 # values that json writes in every float form: signed zeros, subnormals, short
@@ -141,8 +138,8 @@ def test_export_layout_matches_json_encoder(n, pool, data, f_hz, scenario_hash):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n,
                                max_size=n * n))
     values = np.array([pool[i] for i in picks]).reshape(n, n)
-    grid = sk.ApertureGrid(side_l=n * 0.01, pitch=0.01, p_count=n)
-    d = sk.DescriptorVector(side_l=grid.side_l, values=values)
+    grid = sk.ApertureGrid(pitch=0.01, p_count=n)
+    d = sk.DescriptorVector(values=values)
     doc = {"meta": {"f_hz": f_hz, "L_m": grid.side_l, "delta_m": grid.pitch, "B": 1,
                     "scenario_hash": scenario_hash},
            "cells": values.tolist()}
@@ -162,6 +159,29 @@ def test_export_layout_matches_json_encoder(n, pool, data, f_hz, scenario_hash):
 ])
 def test_import_layout_rejects_bad_meta(meta):
     doc = {"meta": meta, "cells": [[1e-3] * 9] * 9}
+    with pytest.raises(sk.LayoutError):
+        sk.import_layout(json.dumps(doc))
+
+
+@pytest.mark.parametrize("meta, cells", [
+    ({"B": 1.5}, None),
+    ({"B": True}, None),
+    ({"B": "1"}, None),
+    ({"L_m": True, "delta_m": 1.0}, [[1e-3]]),      # would read as a 1 m side
+    ({"L_m": "0.5", "delta_m": 0.5}, [[1e-3]]),
+    ({"delta_m": "0.005"}, None),
+    ({"delta_m": None}, None),
+    ({"delta_m": -0.005}, None),
+    ({"L_m": 0.5}, None),                            # not 9 cells of 5 mm
+    ({"L_m": 0.045 * (1.0 + 1e-11)}, None),
+    ({}, [["1e-3"] * 9] * 9),                        # cells as JSON strings
+    ({}, [[True] * 9] * 9),
+])
+def test_import_layout_rejects_what_it_would_misread(meta, cells):
+    good = {"meta": {"f_hz": 27e9, "L_m": 9 * 0.005, "delta_m": 0.005, "B": 1},
+            "cells": [[1e-3] * 9] * 9}
+    sk.import_layout(json.dumps(good))
+    doc = {"meta": {**good["meta"], **meta}, "cells": cells or good["cells"]}
     with pytest.raises(sk.LayoutError):
         sk.import_layout(json.dumps(doc))
 

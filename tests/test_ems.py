@@ -292,19 +292,16 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
 def test_panel_validation(baseline, table):
     grid = sk.discretize(0.05, baseline.pitch)
     shape = (grid.p_count, grid.p_count)
-    good = sk.DescriptorVector(side_l=grid.side_l, values=np.full(shape, 2e-3))
+    good = sk.DescriptorVector(values=np.full(shape, 2e-3))
     sk.EmsPanel(grid=grid, d=good, table=table)
     for g in (9e-3, math.nan):
         values = np.full(shape, 2e-3)
         values[1, 2] = g
         with pytest.raises(sk.LayoutError):
-            sk.EmsPanel(grid=grid, d=sk.DescriptorVector(side_l=grid.side_l, values=values),
-                        table=table)
-    for side in (0.123, math.nan):
-        with pytest.raises(sk.LayoutError):
-            sk.EmsPanel(grid=grid, d=sk.DescriptorVector(side_l=side,
-                                                         values=np.full(shape, 2e-3)),
-                        table=table)
+            sk.EmsPanel(grid=grid, d=sk.DescriptorVector(values=values), table=table)
+    with pytest.raises(sk.LayoutError):
+        sk.EmsPanel(grid=grid, d=sk.DescriptorVector(values=np.full((3, 3), 2e-3)),
+                    table=table)
 
 
 # --- skin attenuation -----------------------------------------------------

@@ -150,13 +150,25 @@ def test_fresnel_modes():
     grid = sk.discretize(8 * DELTA, DELTA)
     currents = random_currents(grid)
     near = sk.ObservationPoint(r=0.3, theta=0.2, phi=0.0)
-    with pytest.warns(sk.FresnelValidityWarning):
-        sk.scattered_field(currents, near, LAMBDA, fresnel="warn")
     with pytest.raises(sk.FresnelValidityError):
         sk.scattered_field(currents, near, LAMBDA, fresnel="strict")
     sk.scattered_field(currents, near, LAMBDA, fresnel="off")
-    with pytest.raises(sk.ConfigError):
-        sk.scattered_field(currents, near, LAMBDA, fresnel="quiet")
+    sk.scattered_field(currents, near, LAMBDA)
+    for mode in ("warn", "quiet"):
+        with pytest.raises(sk.ConfigError):
+            sk.scattered_field(currents, near, LAMBDA, fresnel=mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.floats(1e9, 100e9), wavelengths=st.floats(10.0, 1e5))
+@example(f=27e9, wavelengths=1000.0)               # 10 diagonals binds
+@example(f=27e9, wavelengths=1e4)                  # 0.62*sqrt(D^3/lambda) binds
+@example(f=27e9, wavelengths=1000.0 / 0.62**2)     # where the two cross
+def test_fresnel_side_inverts_the_fresnel_bound(f, wavelengths):
+    lam = sk.wavelength(f)
+    scenario = make_scenario(f=f, r_rx=wavelengths * lam)
+    side = sk.l_fresnel(scenario)
+    assert sk.fresnel_min_distance(side, lam) == pytest.approx(scenario.r_rx, rel=1e-12)
 
 
 def relative_error(a, b):
@@ -220,8 +232,9 @@ def test_oracle_agreement_random_currents():
         assert relative_error(closed, oracle) < 1e-3
 
 
-def dense_field(currents, obs, wavelength, path=sk.beta):
-    """(e_theta, e_phi) with one exp(j k path) per cell: the cell sum written out."""
+def dense_field(currents, obs, wavelength, path=sk.beta, total=np.sum):
+    """(e_theta, e_phi) with one exp(j k path) per cell: the cell sum written
+    out, each bracket's terms added by total."""
     grid = currents.grid
     k = 2.0 * math.pi / wavelength
     s, ct = math.sin(obs.theta), math.cos(obs.theta)
@@ -234,7 +247,7 @@ def dense_field(currents, obs, wavelength, path=sk.beta):
            - sp * currents.jm_x + cp * currents.jm_y)
     bph = (-sk.ETA0 * sp * currents.je_x + sk.ETA0 * cp * currents.je_y
            + ct * cp * currents.jm_x + ct * sp * currents.jm_y)
-    return complex(pre * (phase * bth).sum()), complex(pre * (phase * bph).sum())
+    return complex(pre * total(phase * bth)), complex(pre * total(phase * bph))
 
 
 def test_far_field_linear_phase_reduction():
@@ -307,10 +320,10 @@ def test_cut_map_zero_currents(baseline):
 
 def test_cut_validation():
     with pytest.raises(sk.ConfigError):
-        sk.FieldCut(plane="diagonal", half_extent=1.0)
+        sk.FieldCut(plane="diagonal", half_extent=1.0, points=61)
     for extent in (-1.0, math.nan, math.inf):
         with pytest.raises(sk.ConfigError):
-            sk.FieldCut(plane="transversal", half_extent=extent)
+            sk.FieldCut(plane="transversal", half_extent=extent, points=61)
     with pytest.raises(sk.ConfigError):
         sk.FieldCut(plane="transversal", half_extent=1.0, points=0)
 
@@ -379,23 +392,12 @@ def test_large_panel_single_point_matches_exact_sum(table):
     obs = sk.ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
     field = sk.scattered_field(currents, obs, LAMBDA, fresnel="off")
 
-    X, Y = panel.grid.cell_grid()
-    k = 2.0 * math.pi / LAMBDA
-    s, ct = math.sin(obs.theta), math.cos(obs.theta)
-    phase = np.exp(1j * k * (X * s - ct * ct * (X * X + Y * Y) / (2.0 * obs.r)
-                             - (Y * s) ** 2 / (2.0 * obs.r)))
-    pre = (-1j * np.exp(-1j * k * obs.r) / (2.0 * LAMBDA * obs.r) * panel.grid.pitch**2
-           * sk.sinc(math.pi * panel.grid.pitch * s / LAMBDA))
-
     def fsum(terms):
         flat = terms.reshape(-1)
         return complex(math.fsum(flat.real), math.fsum(flat.imag))
 
     def exact(c):
-        # at phi = 0 the theta-hat bracket is eta*cos(theta)*je_x + jm_y and the
-        # phi-hat bracket is eta*je_y + cos(theta)*jm_x
-        return (pre * fsum(phase * (sk.ETA0 * ct * c.je_x + c.jm_y)),
-                pre * fsum(phase * (sk.ETA0 * c.je_y + ct * c.jm_x)))
+        return dense_field(c, obs, LAMBDA, total=fsum)
 
     e_theta, e_phi = exact(currents)
     assert abs(field.e_phi - e_phi) <= 1e-12 * abs(e_phi)

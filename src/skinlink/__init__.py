@@ -21,9 +21,9 @@ from .errors import (ConfigError, DomainError, FresnelValidityError, GeometryErr
                      LayoutError, SkinlinkError)
 from .field_engine import (CutMap, FieldCut, ObservationPoint, ScatteredField,
                            SurfaceCurrents, beta, check_fresnel, field_cut_map,
-                           fresnel_min_distance, l_fresnel, quadrature_oracle,
-                           received_power, receiver_frame, receiver_tpa,
-                           scattered_field, scattered_field_at_points, sinc)
+                           fresnel_min_distance, l_fresnel, received_power,
+                           receiver_frame, receiver_tpa, scattered_field,
+                           scattered_field_at_points, sinc)
 from .pcs import PcsPanel, pcs_asymptotic_tpa, pcs_currents, pcs_tpa
 from .scenario import (LinkScenario, db, incident_fields, load_scenario,
                        parse_scenario, wavelength)

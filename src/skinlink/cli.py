@@ -222,11 +222,12 @@ def cmd_sweep(args) -> int:
 
 def _write_cut(out: Path, name: str, cut_map, scenario) -> None:
     lines = ["u_m,v_m,e_phi_abs_v_per_m,e_total_abs_v_per_m"]
-    for i, u in enumerate(cut_map.u):
-        for j, v in enumerate(cut_map.v):
-            lines.append(",".join([_fmt(u), _fmt(v),
-                                   _fmt(cut_map.e_phi_abs[i, j]),
-                                   _fmt(cut_map.e_total_abs[i, j])]))
+    # Python floats from tolist() print as _fmt prints the numpy scalars
+    vs = cut_map.v.tolist()
+    for u, phi_row, total_row in zip(cut_map.u.tolist(), cut_map.e_phi_abs.tolist(),
+                                     cut_map.e_total_abs.tolist()):
+        lines += [f"{u!r},{v!r},{e_phi!r},{e_total!r}"
+                  for v, e_phi, e_total in zip(vs, phi_row, total_row)]
     (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     sidecar = {
         "plane": cut_map.cut.plane,

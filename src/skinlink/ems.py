@@ -13,6 +13,7 @@ and gamma = +1 to the magnetic-wall limit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -84,18 +85,29 @@ class ReflectionLookupTable:
                 * np.exp(1j * np.interp(g_query, self.g, phase)))
 
     def gamma_at(self, g_query):
-        """Interpolated (gamma_xx, gamma_yy) at geometry values g_query [m]."""
-        self.check_range(g_query)
-        qc = np.clip(np.asarray(g_query, dtype=float), *self.g_range)
-        return self._interp_column(self.gamma_xx, qc), self._interp_column(self.gamma_yy, qc)
+        """Interpolated (gamma_xx, gamma_yy) at geometry values g_query [m].
 
+        A layout repeats few geometry values, so each distinct value is
+        interpolated once and the results are gathered back into place.
+        """
+        q = np.asarray(g_query, dtype=float)
+        distinct, inverse = np.unique(q, return_inverse=True)
+        self.check_range(distinct)
+        qc = np.clip(distinct, *self.g_range)
+        return tuple(self._interp_column(gamma, qc)[inverse].reshape(q.shape)
+                     for gamma in (self.gamma_xx, self.gamma_yy))
+
+    @functools.cached_property
     def dense_grid(self):
-        """Geometry values at the synthesis resolution plus interpolated gamma_yy."""
+        """Geometry values at the synthesis resolution plus interpolated gamma_yy,
+        built once per table as read-only arrays."""
         lo, hi = self.g_range
         steps = int(math.floor((hi - lo) / _SYNTHESIS_RESOLUTION + 0.5))
         g_fine = lo + np.arange(steps + 1) * _SYNTHESIS_RESOLUTION
         g_fine[-1] = min(g_fine[-1], hi)
-        return g_fine, self._interp_column(self.gamma_yy, g_fine)
+        gyy_fine = self._interp_column(self.gamma_yy, g_fine)
+        g_fine.flags.writeable = gyy_fine.flags.writeable = False
+        return g_fine, gyy_fine
 
 
 def synthetic_table() -> ReflectionLookupTable:
@@ -233,7 +245,7 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     """
     if targets.shape != (grid.p_count, grid.p_count):
         raise LayoutError("target phases do not match the grid")
-    g_fine, gyy_fine = table.dense_grid()
+    g_fine, gyy_fine = table.dense_grid
     cand = np.angle(1.0 - gyy_fine)
     _, h_inc = incident_fields(scenario, *grid.cell_grid())
     need = wrap_phase(targets - np.angle(h_inc[0]))

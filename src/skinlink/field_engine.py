@@ -1,9 +1,8 @@
-"""Discretized Fresnel-zone radiation integral and its independent oracle.
+"""Discretized Fresnel-zone radiation integral.
 
 Evaluates the scattered field of piecewise-constant electric/magnetic surface
-currents on the panel lattice, the received power, the Fresnel validity bound,
-field-cut maps around the receiver, and a sub-patch quadrature oracle used to
-cross-check the closed-form cell sum.
+currents on the panel lattice, the received power, the Fresnel validity bound
+and field-cut maps around the receiver.
 
 One kernel, _cell_sum, evaluates the cell sum at a batch of points; both
 scattered_field (one point) and scattered_field_at_points (chunks) call it.
@@ -14,9 +13,11 @@ short Taylor series over blocks of rows, sized from its phase. The cross term
 vanishes at phi = 0, which covers every receiver_tpa call and the
 longitudinal cut; there the sum is one outer product. A batch is contracted
 with matrix products, a single point with numpy's pairwise sums, so that one
-point never wakes the BLAS threads. beta keeps the unsplit path term that
-synthesis uses. The oracle keeps its own transcription so that it stays an
-independent check.
+point never wakes the BLAS threads. Only the current components with a
+nonzero cell are contracted: the incident H has an exact zero y component, so
+every screen's je_x = (gamma_xx - 1) H_y is zero, and a conducting screen
+(gamma = -1) carries no magnetic current either. beta keeps the unsplit path
+term that synthesis uses.
 """
 
 from __future__ import annotations
@@ -193,6 +194,11 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     (phi = pi or +-pi/2, whose sine or cosine is about 1e-16) it is one block
     of rank 1 or 2.
 
+    Only the components with a nonzero cell are contracted (je_y, jm_x and
+    jm_y of a skin; je_y alone of a conducting screen). Skipping the others
+    is exact: their contractions would be signed zeros, since the phasors are
+    finite, and their column sums start at +0, which +0 + (+-0) = +0 keeps.
+
     The (N, 4) current-column sums are projected onto each point's
     theta-hat/phi-hat bracket weights under the prefactor with the per-cell
     sinc element factors. Returns (e_theta, e_phi), each of shape (N,).
@@ -212,7 +218,8 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     kappa = st * st * sp * cp / r
     a = np.exp(1j * k * (x * st * cp - x * x * (ct * ct + (st * sp) ** 2) / (2.0 * r)))
     g = y * st * sp - y * y * (ct * ct + (st * cp) ** 2) / (2.0 * r)
-    cols = (currents.je_x, currents.je_y, currents.jm_x, currents.jm_y)
+    live = [(i, col) for i, col in enumerate((currents.je_x, currents.je_y,
+                                               currents.jm_x, currents.jm_y)) if col.any()]
 
     p_count = grid.p_count
     hy = grid.side_l / 2.0
@@ -237,7 +244,8 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
             if n:  # term n of the series, split as (j k kappa hy (x - x0))^n / n! * (y/hy)^n
                 a_n = a_n * (1j * k * hy / n) * kappa * (x[blk] - x0)
                 b_n = b_n * (y / hy)
-            sums += np.stack([_contract(a_n, col[blk], b_n) for col in cols], axis=1)
+            for i, col in live:
+                sums[:, i] += _contract(a_n, col[blk], b_n)
 
     return pre * (sums * w_theta).sum(axis=1), pre * (sums * w_phi).sum(axis=1)
 
@@ -299,65 +307,6 @@ def receiver_tpa(currents: SurfaceCurrents, scenario) -> float:
     obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
     field = scattered_field(currents, obs, scenario.wavelength)
     return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
-
-
-def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
-                      wavelength: float, subdivisions: int = 8) -> ScatteredField:
-    """Independent field evaluation by sub-patch summation.
-
-    Each cell is split into subdivisions^2 sub-patches; every sub-patch
-    radiates with its exact spherical phase and 1/R spreading along its own
-    direction to the observer, and the contributions are re-projected onto the
-    observation point's spherical frame. Converges to the radiation integral
-    of the piecewise-constant currents as subdivisions grows, so it checks the
-    closed form's Fresnel phase expansion, uniform-amplitude approximation and
-    per-cell sinc element factor at once.
-    """
-    if subdivisions < 1:
-        raise DomainError("subdivisions must be at least 1")
-    grid = currents.grid
-    n = int(subdivisions)
-    dsub = grid.pitch / n
-    offsets = (np.arange(n) - (n - 1) / 2.0) * dsub
-    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-
-    X, Y = grid.cell_grid()
-    xs = (X[:, :, None] + ox.reshape(-1)[None, None, :]).reshape(-1)
-    ys = (Y[:, :, None] + oy.reshape(-1)[None, None, :]).reshape(-1)
-    rep = np.ones(n * n)
-    je_x = (currents.je_x[:, :, None] * rep).reshape(-1)
-    je_y = (currents.je_y[:, :, None] * rep).reshape(-1)
-    jm_x = (currents.jm_x[:, :, None] * rep).reshape(-1)
-    jm_y = (currents.jm_y[:, :, None] * rep).reshape(-1)
-
-    robs = obs.cartesian
-    dx = robs[0] - xs
-    dy = robs[1] - ys
-    dz = robs[2]
-    R = np.sqrt(dx * dx + dy * dy + dz * dz)
-    ct = dz / R
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    ph = np.arctan2(dy, dx)
-    sp, cp = np.sin(ph), np.cos(ph)
-
-    k = 2.0 * math.pi / wavelength
-    pre = (-1j / (2.0 * wavelength * R) * dsub**2 * np.exp(-1j * k * R)
-           * sinc(math.pi * dsub * st * cp / wavelength)
-           * sinc(math.pi * dsub * st * sp / wavelength))
-    bth = ETA0 * ct * cp * je_x + ETA0 * ct * sp * je_y - sp * jm_x + cp * jm_y
-    bph = -ETA0 * sp * je_x + ETA0 * cp * je_y + ct * cp * jm_x + ct * sp * jm_y
-
-    # local spherical unit vectors of each sub-patch direction, in Cartesian
-    th_hat = np.stack([ct * cp, ct * sp, -st])
-    ph_hat = np.stack([-sp, cp, np.zeros_like(sp)])
-    e_cart = (pre * bth) * th_hat + (pre * bph) * ph_hat
-    e_total = e_cart.sum(axis=1)
-
-    s0, c0 = math.sin(obs.theta), math.cos(obs.theta)
-    sp0, cp0 = math.sin(obs.phi), math.cos(obs.phi)
-    th0 = np.array([c0 * cp0, c0 * sp0, -s0])
-    ph0 = np.array([-sp0, cp0, 0.0])
-    return ScatteredField(e_theta=complex(e_total @ th0), e_phi=complex(e_total @ ph0))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 import skinlink as sk
 
-from helpers import make_scenario
+from helpers import make_scenario, quadrature_oracle
 
 
 def verdict(number: int, ok: bool, text: str) -> None:
@@ -94,7 +94,7 @@ def test_criterion_7_oracle_equivalence():
                                   phi=float(rng.uniform(0.0, 2.0 * math.pi)))
         assert r >= sk.fresnel_min_distance(grid.side_l, lam)
         closed = sk.scattered_field(currents, obs, lam)
-        oracle = sk.quadrature_oracle(currents, obs, lam, subdivisions=8)
+        oracle = quadrature_oracle(currents, obs, lam, subdivisions=8)
         num = math.hypot(abs(closed.e_theta - oracle.e_theta),
                          abs(closed.e_phi - oracle.e_phi))
         den = math.hypot(abs(oracle.e_theta), abs(oracle.e_phi))

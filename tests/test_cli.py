@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import skinlink as sk
@@ -277,6 +278,28 @@ def test_cuts_artifacts(scenario_file, tmp_path):
         meta = json.loads((out / f"cuts_{screen}_transversal.meta.json").read_text())
         assert meta["plane"] == "transversal"
         assert meta["points"] == 11
+
+
+def test_cut_csv_reads_back_as_the_map_arrays(scenario_file, tmp_path):
+    out = tmp_path / "cuts"
+    code = main(["cuts", "--scenario", scenario_file, "--side-l", "0.2",
+                 "--extent", "0.5", "--points", "5", "--out", str(out)])
+    assert code == 0
+    scenario = sk.load_scenario(scenario_file)
+    panel, _ = sk.design_panel(scenario, 0.2, sk.synthetic_table())
+    screens = {"pcs": sk.pcs_currents(sk.PcsPanel(grid=panel.grid), scenario),
+               "ems": sk.gstc_currents(panel, scenario)}
+    for plane in ("transversal", "longitudinal"):
+        cut = sk.FieldCut(plane=plane, half_extent=0.5, points=5)
+        for screen, currents in screens.items():
+            cut_map = sk.field_cut_map(currents, cut, scenario)
+            lines = (out / f"cuts_{screen}_{plane}.csv").read_text().splitlines()[1:]
+            cols = np.array([[float(v) for v in line.split(",")] for line in lines]).T
+            # rows run over v within each u
+            assert np.array_equal(cols[0], np.repeat(cut_map.u, cut_map.v.size))
+            assert np.array_equal(cols[1], np.tile(cut_map.v, cut_map.u.size))
+            assert np.array_equal(cols[2], cut_map.e_phi_abs.reshape(-1))
+            assert np.array_equal(cols[3], cut_map.e_total_abs.reshape(-1))
 
 
 def test_cuts_zero_extent_single_point(scenario_file, tmp_path):

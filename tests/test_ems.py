@@ -91,6 +91,21 @@ def test_gamma_lookup_range(table):
     np.testing.assert_allclose(gyy, table.gamma_yy[[0, -1]], rtol=1e-12)
 
 
+def test_gamma_at_matches_per_element_interpolation(table):
+    rng = np.random.default_rng(3)
+    lo, hi = table.g_range
+    # table nodes, both ends, points within the range slack and random values,
+    # each repeated three times and shuffled into a 2-D query
+    distinct = np.concatenate([table.g[5:9], [lo, hi, lo - 5e-13, hi + 5e-13],
+                               rng.uniform(lo, hi, 16)])
+    query = rng.permutation(np.repeat(distinct, 3)).reshape(6, 12)
+    for gamma, got in zip((table.gamma_xx, table.gamma_yy), table.gamma_at(query)):
+        mag, phase = np.abs(gamma), np.unwrap(np.angle(gamma))
+        one_by_one = [np.interp(g, table.g, mag) * np.exp(1j * np.interp(g, table.g, phase))
+                      for g in np.clip(query.reshape(-1), lo, hi)]
+        assert np.array_equal(got, np.reshape(one_by_one, query.shape))
+
+
 # --- ideal phases ---------------------------------------------------------
 
 def test_ideal_phases_center_cell(baseline):
@@ -280,7 +295,7 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
     d = sk.synthesize_layout(grid, table, targets, baseline)
     phi = sk.synthesis_mismatch(grid, layout_currents(grid, table, d, baseline), targets)
 
-    g_fine, gyy_fine = table.dense_grid()
+    g_fine, gyy_fine = table.dense_grid
     cand = np.angle(1.0 - gyy_fine)
     _, h = sk.incident_fields(baseline, *grid.cell_grid())
     need = sk.wrap_phase(targets - np.angle(h[0]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import skinlink as sk
 
-from helpers import make_scenario
+from helpers import make_scenario, quadrature_oracle
 
 LAMBDA = sk.wavelength(27e9)
 DELTA = LAMBDA / 2.0
@@ -186,14 +186,14 @@ def test_oracle_single_cell_far_field():
     obs = sk.ObservationPoint(r=1e7 * DELTA, theta=math.radians(25.0),
                               phi=math.radians(10.0))
     closed = sk.scattered_field(currents, obs, LAMBDA)
-    oracle = sk.quadrature_oracle(currents, obs, LAMBDA, subdivisions=1)
+    oracle = quadrature_oracle(currents, obs, LAMBDA, subdivisions=1)
     assert relative_error(closed, oracle) < 1e-6
 
 
 def test_oracle_zero_currents():
     grid = sk.discretize(4 * DELTA, DELTA)
     obs = sk.ObservationPoint(r=10.0, theta=0.4, phi=0.0)
-    oracle = sk.quadrature_oracle(zero_currents(grid), obs, LAMBDA, subdivisions=3)
+    oracle = quadrature_oracle(zero_currents(grid), obs, LAMBDA, subdivisions=3)
     assert oracle.e_theta == 0.0
     assert oracle.e_phi == 0.0
 
@@ -202,7 +202,7 @@ def test_oracle_rejects_bad_subdivisions():
     grid = sk.discretize(4 * DELTA, DELTA)
     obs = sk.ObservationPoint(r=10.0, theta=0.4, phi=0.0)
     with pytest.raises(sk.DomainError):
-        sk.quadrature_oracle(zero_currents(grid), obs, LAMBDA, subdivisions=0)
+        quadrature_oracle(zero_currents(grid), obs, LAMBDA, subdivisions=0)
 
 
 def test_oracle_coherent_currents_converged():
@@ -213,7 +213,7 @@ def test_oracle_coherent_currents_converged():
     currents = sk.pcs_currents(sk.PcsPanel(grid=grid), scenario)
     obs = sk.ObservationPoint(r=100.0 * grid.side_l, theta=scenario.theta0, phi=0.0)
     closed = sk.scattered_field(currents, obs, LAMBDA)
-    oracle = sk.quadrature_oracle(currents, obs, LAMBDA, subdivisions=8)
+    oracle = quadrature_oracle(currents, obs, LAMBDA, subdivisions=8)
     assert relative_error(closed, oracle) < 1e-3
 
 
@@ -228,7 +228,7 @@ def test_oracle_agreement_random_currents():
         obs = sk.ObservationPoint(r=r, theta=theta, phi=phi)
         assert r >= sk.fresnel_min_distance(grid.side_l, LAMBDA)
         closed = sk.scattered_field(currents, obs, LAMBDA)
-        oracle = sk.quadrature_oracle(currents, obs, LAMBDA, subdivisions=8)
+        oracle = quadrature_oracle(currents, obs, LAMBDA, subdivisions=8)
         assert relative_error(closed, oracle) < 1e-3
 
 
@@ -278,18 +278,29 @@ _PHI = st.one_of(st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2]),
                  st.floats(-math.pi, math.pi, exclude_min=True))
 # r from two panel sides, where the cross term needs several row blocks
 _POINT = st.tuples(st.floats(2.0, 1e3), st.floats(0.0, math.pi / 2), _PHI)
+_COMPONENTS = ("je_x", "je_y", "jm_x", "jm_y")
 
 
 @pytest.mark.parametrize("count", [0, 1, 7])
 @settings(max_examples=25, deadline=None)
 @given(cells=st.integers(1, 180), points=st.lists(_POINT, min_size=7, max_size=7),
-       seed=st.integers(0, 2**32 - 1))
-@example(cells=1, points=[(2.0, 0.7, 0.4)] * 7, seed=0)  # x = y = 0
-def test_kernel_matches_dense_exponentials(count, cells, points, seed):
-    """The separable kernel matches one exp(j k beta) per cell, point by point and batched."""
+       seed=st.integers(0, 2**32 - 1),
+       zeroed=st.lists(st.booleans(), min_size=4, max_size=4))
+@example(cells=1, points=[(2.0, 0.7, 0.4)] * 7, seed=0,  # x = y = 0
+         zeroed=[False] * 4)
+@example(cells=12, points=[(2.0, 0.7, 0.4)] * 7, seed=0, zeroed=[True] * 4)
+@example(cells=12, points=[(2.0, 0.7, 0.4)] * 7, seed=0,  # a conducting screen's
+         zeroed=[True, False, True, True])                # components
+def test_kernel_matches_dense_exponentials(count, cells, points, seed, zeroed):
+    """The separable kernel matches one exp(j k beta) per cell, point by point and
+    batched, with any set of all-zero current components (which it skips)."""
     # 27 GHz: one cell is 5.6 mm, 180 cells are 1.0 m
     grid = sk.discretize(cells * DELTA, DELTA)
     currents = random_currents(grid, seed=seed)
+    # signed zeros, as a conducting screen's -(1 + gamma) E carries them
+    currents = dataclasses.replace(currents, **{
+        name: -0.0 * getattr(currents, name)
+        for name, zero in zip(_COMPONENTS, zeroed) if zero})
     observations = [sk.ObservationPoint(r=m * grid.side_l, theta=theta, phi=phi)
                     for m, theta, phi in points[:count]]
     pts = np.array([obs.cartesian for obs in observations]).reshape(-1, 3)
@@ -308,6 +319,8 @@ def test_kernel_matches_dense_exponentials(count, cells, points, seed):
     scale = max((abs(ref) for _, ref in checks), default=0.0)
     for value, ref in checks:
         assert abs(value - ref) <= 1e-12 * scale
+    if all(zeroed):
+        assert all(value == 0.0 for value, _ in checks)
 
 
 def test_cut_map_zero_currents(baseline):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import skinlink as sk
 
-from helpers import make_scenario
+from helpers import make_scenario, quadrature_oracle
 
 TABLE = sk.synthetic_table()
 PEC = sk.ReflectionLookupTable(g=np.array([1.0e-3, 2.0e-3]),
@@ -83,7 +83,7 @@ def test_specular_field_has_no_cross_polarization(f, r_tx, r_rx, theta0_deg, cel
 
 def _oracle_error(currents, obs, wavelength):
     closed = sk.scattered_field(currents, obs, wavelength, fresnel="off")
-    oracle = sk.quadrature_oracle(currents, obs, wavelength)
+    oracle = quadrature_oracle(currents, obs, wavelength)
     return (math.hypot(abs(closed.e_theta - oracle.e_theta),
                        abs(closed.e_phi - oracle.e_phi))
             / math.hypot(abs(oracle.e_theta), abs(oracle.e_phi)))

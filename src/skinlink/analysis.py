@@ -13,7 +13,7 @@ from .ems import ReflectionLookupTable, design_panel, ems_tpa, ems_upper_bound_t
 from .errors import DomainError, SkinlinkError
 from .field_engine import fresnel_min_distance, l_fresnel
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
-from .scenario import LinkScenario, db
+from .scenario import LinkScenario
 
 SWEEP_VARIABLES = ("side_l", "r_rx", "theta0", "rho")
 _WIN_MARGIN = 1.0 + 1e-12   # a win beats rounding: a gamma = -1 skin ties the screen
@@ -46,7 +46,7 @@ def optimality_interval(scenario: LinkScenario) -> OptimalityInterval:
 
 @dataclass(frozen=True)
 class TpaSweepRow:
-    """One sweep point: the swept value plus all four attenuation ratios."""
+    """One sweep point: the swept value plus all four linear attenuation ratios."""
 
     variable: str
     value: float
@@ -56,22 +56,6 @@ class TpaSweepRow:
     a_inf: float
     fresnel_ok: bool
     error: str | None = None
-
-    @property
-    def a_pcs_db(self) -> float:
-        return db(self.a_pcs)
-
-    @property
-    def a_ems_db(self) -> float:
-        return db(self.a_ems)
-
-    @property
-    def a_opt_db(self) -> float:
-        return db(self.a_opt)
-
-    @property
-    def a_inf_db(self) -> float:
-        return db(self.a_inf)
 
 
 def _scenario_for(scenario: LinkScenario, variable: str, value: float) -> LinkScenario:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -43,8 +44,9 @@ class ApertureGrid:
         return self.x_centers
 
     def cell_grid(self):
-        """Meshgrids (X, Y) of barycenters, indexed [p, q]."""
-        return np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
+        """Barycenter axes (X, Y) indexed [p, q], shaped (P, 1) and (1, P);
+        they broadcast to the P x P lattice."""
+        return np.meshgrid(self.x_centers, self.y_centers, indexing="ij", sparse=True)
 
 
 def discretize(side_l: float, pitch: float) -> ApertureGrid:
@@ -83,11 +85,11 @@ def scenario_fingerprint(scenario) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
-def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
-                  scenario_hash: str = "") -> str:
+def export_layout(d: DescriptorVector, grid: ApertureGrid, scenario) -> str:
     """Serialize a layout to a JSON document (decimal round-trip exact).
 
-    The document carries meta {f_hz, L_m, delta_m, B, scenario_hash} and the
+    The document carries meta {f_hz, L_m, delta_m, B, scenario_hash}, with the
+    carrier and fingerprint of the scenario the layout was made for, and the
     cells as the descriptor matrix itself: P rows by Q columns of geometry
     values in meters, row p holding g_p0 ... g_p(Q-1). The text is that of
     json.dumps(doc, indent=1, sort_keys=True) plus a newline. Non-finite cells,
@@ -101,11 +103,11 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, f_hz: float,
     if not np.all(np.isfinite(values)):
         raise LayoutError("layout cells must be finite")
     meta = {
-        "f_hz": f_hz,
+        "f_hz": scenario.f,
         "L_m": grid.side_l,
         "delta_m": grid.pitch,
         "B": 1,
-        "scenario_hash": scenario_hash,
+        "scenario_hash": scenario_fingerprint(scenario),
     }
     # With an indent, json encodes through its pure-Python path, one float at
     # a time. A synthesized layout repeats a few thousand table geometries, so
@@ -130,6 +132,8 @@ def import_layout(text: str):
     try:
         doc = json.loads(text)
         meta = doc["meta"]
+        # np.asarray would promote a true among numbers to 1.0, so look first
+        has_bool = bool in set(map(type, itertools.chain.from_iterable(doc["cells"])))
         cells = np.asarray(doc["cells"])
         sizes = meta["L_m"], meta["delta_m"]   # TypeError for a meta that is no object
         b_count = meta.get("B", 1)
@@ -140,7 +144,7 @@ def import_layout(text: str):
         raise LayoutError(f"layout L_m and delta_m must be finite and positive, got {sizes}")
     if type(b_count) is not int or b_count != 1:
         raise LayoutError("only single-descriptor (B = 1) layouts are supported")
-    if cells.dtype.kind not in "iuf" or not np.all(np.isfinite(cells)):
+    if has_bool or cells.dtype.kind not in "iuf" or not np.all(np.isfinite(cells)):
         raise LayoutError("layout cells must be finite numbers")
     d = DescriptorVector(values=np.asarray(cells, dtype=float))
     side_l, pitch = sizes

@@ -1,7 +1,8 @@
 """Command-line front end: thresholds, design, sweep and cuts subcommands.
 
 All file artifacts are deterministic: identical configs and inputs produce
-byte-identical outputs (no timestamps inside data files).
+byte-identical outputs (no timestamps inside data files). The library returns
+linear ratios; the writers here put them in dB.
 
 The Fresnel check lives here: the receiver's validity is fixed by the link,
 so design and cuts check it once, after building the panel, and sweep reports
@@ -43,11 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="skinlink",
         description="NLOS specular link analysis with passive reflective screens")
     sub = parser.add_subparsers(dest="command", required=True)
-    cmd = {name: sub.add_parser(name, help=text) for name, text in [
-        ("thresholds", "closed-form panel sizing interval"),
-        ("design", "synthesize a skin layout"),
-        ("sweep", "sweep a scenario variable and tabulate TPA"),
-        ("cuts", "field-magnitude maps around the receiver")]}
+    cmd = {}
+    for name, text, run in [
+            ("thresholds", "closed-form panel sizing interval", cmd_thresholds),
+            ("design", "synthesize a skin layout", cmd_design),
+            ("sweep", "sweep a scenario variable and tabulate TPA", cmd_sweep),
+            ("cuts", "field-magnitude maps around the receiver", cmd_cuts)]:
+        cmd[name] = sub.add_parser(name, help=text)
+        cmd[name].set_defaults(run=run)
     for p in cmd.values():
         p.add_argument("--scenario", required=True, help="scenario config file")
         p.add_argument("--out", default=".", help="output directory")
@@ -116,10 +120,15 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """The one JSON artifact format: indent 1, sorted keys, ASCII, trailing newline."""
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii")
+
+
 def _write_markers(path: Path, interval, marker_set=None) -> None:
     l_th_ems = marker_set.l_th_ems if marker_set else None
     l_pcs_ems = marker_set.l_pcs_ems if marker_set else None
-    doc = {
+    _write_json(path, {
         "l_th_m": interval.l_th,
         "l_fr_m": interval.l_fr,
         "nonempty": interval.nonempty,
@@ -127,8 +136,7 @@ def _write_markers(path: Path, interval, marker_set=None) -> None:
         "l_th_ems_present": l_th_ems is not None,
         "l_pcs_ems_m": l_pcs_ems,
         "l_pcs_ems_present": l_pcs_ems is not None,
-    }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii")
+    })
 
 
 def cmd_thresholds(args) -> int:
@@ -168,10 +176,9 @@ def cmd_design(args) -> int:
     rings = _ring_count(panel.d.values, *table.g_range)
 
     out = _outdir(args)
-    layout = export_layout(panel.d, panel.grid, scenario.f,
-                           scenario_hash=scenario_fingerprint(scenario))
-    (out / "layout.json").write_text(layout, encoding="ascii")
-    report = {
+    (out / "layout.json").write_text(export_layout(panel.d, panel.grid, scenario),
+                                     encoding="ascii")
+    _write_json(out / "design_report.json", {
         "cell_count": panel.grid.cell_count,
         "side_l_m": panel.grid.side_l,
         "pitch_m": panel.grid.pitch,
@@ -180,9 +187,7 @@ def cmd_design(args) -> int:
         "a_ems_db": db(a_ems),
         "a_opt_db": db(a_opt),
         "a_pcs_db": db(a_pcs),
-    }
-    (out / "design_report.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="ascii")
+    })
     print(f"cells: {panel.grid.p_count} x {panel.grid.p_count}")
     print(f"residual phase mismatch: {phi:.6g} rad^2")
     print(f"ring count: {rings}")
@@ -202,9 +207,9 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     lines = ["var,value,a_pcs_db,a_ems_db,a_opt_db,a_inf_db,fresnel_ok"]
     for row in rows:    # a failed row's nan figures print as nan, its flag as false
-        lines.append(",".join([row.variable, _fmt(row.value), _fmt(row.a_pcs_db),
-                               _fmt(row.a_ems_db), _fmt(row.a_opt_db),
-                               _fmt(row.a_inf_db), str(row.fresnel_ok).lower()]))
+        figures = [_fmt(db(a)) for a in (row.a_pcs, row.a_ems, row.a_opt, row.a_inf)]
+        lines.append(",".join([row.variable, _fmt(row.value), *figures,
+                               str(row.fresnel_ok).lower()]))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     interval = analysis.optimality_interval(scenario)
@@ -229,16 +234,14 @@ def _write_cut(out: Path, name: str, cut_map, scenario) -> None:
         lines += [f"{u!r},{v!r},{e_phi!r},{e_total!r}"
                   for v, e_phi, e_total in zip(vs, phi_row, total_row)]
     (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    sidecar = {
+    _write_json(out / f"{name}.meta.json", {
         "plane": cut_map.cut.plane,
         "half_extent_m": cut_map.cut.half_extent,
         "points": int(cut_map.u.size),
         "receiver_r_m": scenario.r_rx,
         "theta0_rad": scenario.theta0,
         "scenario_hash": scenario_fingerprint(scenario),
-    }
-    (out / f"{name}.meta.json").write_text(
-        json.dumps(sidecar, indent=1, sort_keys=True) + "\n", encoding="ascii")
+    })
 
 
 def cmd_cuts(args) -> int:
@@ -264,16 +267,10 @@ def cmd_cuts(args) -> int:
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "thresholds": cmd_thresholds,
-        "design": cmd_design,
-        "sweep": cmd_sweep,
-        "cuts": cmd_cuts,
-    }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
-    except (SkinlinkError, OSError) as exc:
+        return args.run(args)
+    except (SkinlinkError, OSError, MemoryError) as exc:   # MemoryError: a panel too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -53,7 +53,7 @@ def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
     offsets = (np.arange(n) - (n - 1) / 2.0) * dsub
     ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
 
-    X, Y = grid.cell_grid()
+    X, Y = np.broadcast_arrays(*grid.cell_grid())
     xs = (X[:, :, None] + ox.reshape(-1)[None, None, :]).reshape(-1)
     ys = (Y[:, :, None] + oy.reshape(-1)[None, None, :]).reshape(-1)
     rep = np.ones(n * n)

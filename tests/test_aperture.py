@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 import skinlink as sk
 
+from helpers import make_scenario
+
+SCENARIO = make_scenario()
+
 
 def test_cell_counts():
     assert sk.discretize(0.8, 5.556e-3).p_count == 144
@@ -68,7 +72,7 @@ def test_descriptor_rejects_non_matrix_values():
 def test_layout_roundtrip_single_cell():
     grid = sk.discretize(5.556e-3, 5.556e-3)
     d = sk.DescriptorVector(values=np.array([[3.0e-3]]))
-    doc = sk.export_layout(d, grid, f_hz=27e9, scenario_hash="demo")
+    doc = sk.export_layout(d, grid, SCENARIO)
     d2, meta = sk.import_layout(doc)
     np.testing.assert_array_equal(d2.values, [[3.0e-3]])
     assert meta["f_hz"] == 27e9
@@ -80,24 +84,23 @@ def test_layout_roundtrip_bit_exact():
     grid = sk.discretize(0.05, 5.556e-3)
     m = rng.uniform(0.3e-3, 5e-3, size=(grid.p_count, grid.p_count))
     d = sk.DescriptorVector(values=m)
-    doc = sk.export_layout(d, grid, f_hz=27e9)
+    doc = sk.export_layout(d, grid, SCENARIO)
     d2, meta = sk.import_layout(doc)
     assert meta["L_m"] == grid.side_l
     np.testing.assert_array_equal(d2.values, d.values)
     # a second export of the reimported layout is byte-identical
-    assert sk.export_layout(d2, grid, f_hz=27e9) == doc
+    assert sk.export_layout(d2, grid, SCENARIO) == doc
 
 
 def test_layout_size_mismatch():
     grid = sk.discretize(0.05, 5.556e-3)
     d = sk.DescriptorVector(values=np.zeros((2, 2)))
     with pytest.raises(sk.LayoutError):
-        sk.export_layout(d, grid, f_hz=27e9)
+        sk.export_layout(d, grid, SCENARIO)
     with pytest.raises(sk.LayoutError):
         sk.import_layout("{\"meta\": {}}")
     doc = json.loads(sk.export_layout(
-        sk.DescriptorVector(values=np.full((9, 9), 1e-3)), grid,
-        f_hz=27e9))
+        sk.DescriptorVector(values=np.full((9, 9), 1e-3)), grid, SCENARIO))
     for bad in (float("nan"), float("inf")):
         doc["cells"][4][2] = bad
         with pytest.raises(sk.LayoutError):
@@ -110,17 +113,17 @@ def test_export_layout_rejects_non_finite_cells():
     nine = sk.discretize(0.05, 5.556e-3)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(sk.LayoutError, match="finite"):
-            sk.export_layout(sk.DescriptorVector(values=np.array([[bad]])), one, f_hz=27e9)
+            sk.export_layout(sk.DescriptorVector(values=np.array([[bad]])), one, SCENARIO)
         values = np.full((9, 9), 1e-3)
         values[4, 2] = bad
         with pytest.raises(sk.LayoutError, match="finite"):
-            sk.export_layout(sk.DescriptorVector(values=values), nine, f_hz=27e9)
+            sk.export_layout(sk.DescriptorVector(values=values), nine, SCENARIO)
 
 
 def test_export_layout_rejects_empty_layout():
     grid = sk.ApertureGrid(pitch=5.556e-3, p_count=0)
     with pytest.raises(sk.LayoutError, match="at least one cell"):
-        sk.export_layout(sk.DescriptorVector(values=np.zeros((0, 0))), grid, f_hz=27e9)
+        sk.export_layout(sk.DescriptorVector(values=np.zeros((0, 0))), grid, SCENARIO)
 
 
 # values that json writes in every float form: signed zeros, subnormals, short
@@ -133,18 +136,19 @@ _LAYOUT_VALUES = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 12), pool=st.lists(_LAYOUT_VALUES, min_size=1, max_size=6),
-       data=st.data(), f_hz=st.floats(1e6, 1e12), scenario_hash=st.text(max_size=8))
-def test_export_layout_matches_json_encoder(n, pool, data, f_hz, scenario_hash):
+       data=st.data(), f_hz=st.floats(1e6, 1e12))
+def test_export_layout_matches_json_encoder(n, pool, data, f_hz):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n,
                                max_size=n * n))
     values = np.array([pool[i] for i in picks]).reshape(n, n)
     grid = sk.ApertureGrid(pitch=0.01, p_count=n)
     d = sk.DescriptorVector(values=values)
+    scenario = make_scenario(f=f_hz)
     doc = {"meta": {"f_hz": f_hz, "L_m": grid.side_l, "delta_m": grid.pitch, "B": 1,
-                    "scenario_hash": scenario_hash},
+                    "scenario_hash": sk.scenario_fingerprint(scenario)},
            "cells": values.tolist()}
     expected = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    assert sk.export_layout(d, grid, f_hz, scenario_hash) == expected
+    assert sk.export_layout(d, grid, scenario) == expected
 
 
 @pytest.mark.parametrize("meta", [
@@ -163,6 +167,13 @@ def test_import_layout_rejects_bad_meta(meta):
         sk.import_layout(json.dumps(doc))
 
 
+def flagged_cells(flag):
+    """9 x 9 cells with cells[4][2] a JSON boolean, which np.asarray reads as a number."""
+    cells = [[1e-3] * 9 for _ in range(9)]
+    cells[4][2] = flag
+    return cells
+
+
 @pytest.mark.parametrize("meta, cells", [
     ({"B": 1.5}, None),
     ({"B": True}, None),
@@ -176,6 +187,8 @@ def test_import_layout_rejects_bad_meta(meta):
     ({"L_m": 0.045 * (1.0 + 1e-11)}, None),
     ({}, [["1e-3"] * 9] * 9),                        # cells as JSON strings
     ({}, [[True] * 9] * 9),
+    ({}, flagged_cells(True)),                       # would read as 1.0 m
+    ({}, flagged_cells(False)),
 ])
 def test_import_layout_rejects_what_it_would_misread(meta, cells):
     good = {"meta": {"f_hz": 27e9, "L_m": 9 * 0.005, "delta_m": 0.005, "B": 1},

@@ -113,7 +113,9 @@ def test_design_artifacts_and_determinism(scenario_file, tmp_path):
     assert report["phi_total_rad2"] >= 0.0
     assert report["a_ems_db"] <= report["a_opt_db"]
     d, meta = sk.import_layout(layout1.decode("ascii"))
-    assert meta["f_hz"] == 27e9
+    scenario = sk.load_scenario(scenario_file)
+    assert meta["f_hz"] == scenario.f == 27e9
+    assert meta["scenario_hash"] == sk.scenario_fingerprint(scenario)
     assert d.values.shape == (36, 36)
 
 
@@ -172,6 +174,26 @@ def test_sweep_failed_row_line(scenario_file, tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1] == "side_l,0.001,nan,nan,nan,nan,false"
     assert "row 0.001: GeometryError: " in capsys.readouterr().err
+    # each dB column is the writer's dB of the library's linear figure
+    rows = sk.sweep(sk.load_scenario(scenario_file), "side_l", [0.001, 0.1, 0.2],
+                    sk.synthetic_table())
+    for line, row in zip(lines[1:], rows, strict=True):
+        figures = (row.a_pcs, row.a_ems, row.a_opt, row.a_inf)
+        assert line.split(",")[2:6] == [repr(sk.db(a)) for a in figures]
+
+
+@pytest.mark.parametrize("argv", [["design", "--side-l", "0.2"],
+                                  ["sweep", "--values", "0.1,0.2,0.3"]])
+def test_unallocatable_panel_exit(scenario_file, tmp_path, capsys, monkeypatch, argv):
+    # stands in for numpy's allocation failure on a huge panel, which a test
+    # must not provoke: with overcommit the allocation can succeed and be killed
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.31 TiB for an array")
+
+    monkeypatch.setattr(sk.ems, "synthesize_layout", too_large)
+    code = main([*argv, "--scenario", scenario_file, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1.31 TiB for an array\n"
 
 
 def test_sweep_rerun_byte_identical(scenario_file, tmp_path):

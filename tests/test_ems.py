@@ -280,7 +280,7 @@ def test_synthesis_percell_error_bound(baseline):
     cand = np.angle(1.0 - coarse.gamma_yy)
     gap = np.max(np.abs(np.diff(np.sort(cand))))
     rng = np.random.default_rng(4)
-    arc = rng.uniform(cand.min(), cand.max(), size=grid.cell_grid()[0].shape)
+    arc = rng.uniform(cand.min(), cand.max(), size=(grid.p_count, grid.p_count))
     base = current_phase(coarse, coarse.g[0], baseline, grid)
     targets = sk.wrap_phase(base - cand[0] + arc)
     d = sk.synthesize_layout(grid, coarse, targets, baseline)

@@ -21,10 +21,7 @@ _WIN_MARGIN = 1.0 + 1e-12   # a win beats rounding: a gamma = -1 skin ties the s
 
 def l_threshold(scenario: LinkScenario) -> float:
     """Smallest panel side [m] whose ideal-skin bound beats the infinite-screen limit."""
-    c = math.cos(scenario.theta0)
-    if c <= 0.0:
-        raise DomainError("threshold side diverges at grazing incidence")
-    return math.sqrt(scenario.wavelength / c
+    return math.sqrt(scenario.wavelength / math.cos(scenario.theta0)
                      * scenario.r_tx * scenario.r_rx / (scenario.r_tx + scenario.r_rx))
 
 
@@ -145,9 +142,7 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
         return dataclasses.replace(row, variable=variable, value=value)
 
     n = workers if workers is not None else worker_count(len(values))
-    if n <= 1:
-        return [one(v) for v in values]
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, n)) as pool:   # one worker is the serial case
         return list(pool.map(one, values))
 
 
@@ -175,12 +170,14 @@ def markers(rows: list[TpaSweepRow], scenario: LinkScenario,
     evaluated twice, and the rows' own counts are never re-evaluated. A marker
     is the side p*pitch of a panel that wins (by more than 1e-12 relative)
     while p - 1 cells do not; the bisection does not promise the smallest such
-    p in the bracket. `design --side-l` at that side reproduces it. A missing
-    bracket yields an absent marker, not an error.
+    p in the bracket. `design --side-l` at that side reproduces it. Failed
+    rows are skipped; a missing bracket, as with fewer than two usable rows,
+    yields an absent marker, not an error. Rows of another variable's sweep
+    raise DomainError.
     """
-    usable = [r for r in rows if r.error is None and r.variable == "side_l"]
-    if len(usable) < 3:
-        raise DomainError("marker location needs at least three valid sweep rows")
+    if any(r.variable != "side_l" for r in rows):
+        raise DomainError("markers need the rows of a side_l sweep")
+    usable = [r for r in rows if r.error is None]
 
     pitch = scenario.pitch
     counts = [discretize(r.value, pitch).p_count for r in usable]

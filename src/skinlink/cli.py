@@ -154,9 +154,7 @@ def cmd_thresholds(args) -> int:
 
 def _ring_count(matrix: np.ndarray, g_lo: float, g_hi: float) -> int:
     """Concentric-band count: 1 + geometry resets along the center-to-corner diagonal."""
-    p, q = matrix.shape
-    half = min(p, q) - min(p, q) // 2
-    diag = np.array([matrix[p // 2 + i, q // 2 + i] for i in range(half)])
+    diag = np.diagonal(matrix)[matrix.shape[0] // 2:]
     if diag.size < 2:
         return 1
     jumps = np.abs(np.diff(diag)) > 0.5 * (g_hi - g_lo)
@@ -213,16 +211,13 @@ def cmd_sweep(args) -> int:
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     interval = analysis.optimality_interval(scenario)
-    marker_set = None
-    good = [r for r in rows if r.error is None]
-    if args.variable == "side_l" and len(good) >= 3:
-        marker_set = analysis.markers(good, scenario, table)
+    marker_set = analysis.markers(rows, scenario, table) if args.variable == "side_l" else None
     _write_markers(out / "markers.json", interval, marker_set)
     for row in rows:
         if row.error is not None:
             print(f"row {row.value}: {row.error}", file=sys.stderr)
     print(f"wrote {len(rows)} sweep rows")
-    return EXIT_OK if good else EXIT_ERROR
+    return EXIT_OK if any(row.error is None for row in rows) else EXIT_ERROR
 
 
 def _write_cut(out: Path, name: str, cut_map, scenario) -> None:

@@ -98,16 +98,17 @@ class ReflectionLookupTable:
                      for gamma in (self.gamma_xx, self.gamma_yy))
 
     @functools.cached_property
-    def dense_grid(self):
-        """Geometry values at the synthesis resolution plus interpolated gamma_yy,
-        built once per table as read-only arrays."""
+    def synthesis_lookup(self):
+        """Sorted distinct phases of 1 - gamma_yy at the synthesis resolution and the
+        smallest geometry [m] reaching each, built once per table as read-only arrays."""
         lo, hi = self.g_range
         steps = int(math.floor((hi - lo) / _SYNTHESIS_RESOLUTION + 0.5))
         g_fine = lo + np.arange(steps + 1) * _SYNTHESIS_RESOLUTION
         g_fine[-1] = min(g_fine[-1], hi)
-        gyy_fine = self._interp_column(self.gamma_yy, g_fine)
-        g_fine.flags.writeable = gyy_fine.flags.writeable = False
-        return g_fine, gyy_fine
+        cand = np.angle(1.0 - self._interp_column(self.gamma_yy, g_fine))
+        phases, geometry = _candidate_lookup(cand, g_fine)
+        phases.flags.writeable = geometry.flags.writeable = False
+        return phases, geometry
 
 
 def synthetic_table() -> ReflectionLookupTable:
@@ -214,25 +215,28 @@ def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarr
     return wrap_phase(-k * beta((X, Y), obs))
 
 
-def _nearest_candidate(cand: np.ndarray, need: np.ndarray):
-    """Index (per need) of the candidate phase at smallest wrapped distance.
-
-    cand is ordered by ascending geometry value, in any phase order, with
-    repeats allowed. On the circle the nearest candidate is always one of the
-    two circular neighbours of the need among the sorted distinct phases, so
-    only those two are compared. A repeated phase stands for its smallest
-    geometry, and exact distance ties resolve to the smaller geometry.
-    Returns the indices and the wrapped distances, both shaped like need.
-    """
+def _candidate_lookup(cand: np.ndarray, geometry: np.ndarray):
+    """Sorted distinct phases of cand and the smallest geometry reaching each;
+    geometry is ascending, cand in any phase order with repeats allowed."""
     phases, first = np.unique(cand, return_index=True)
+    return phases, geometry[first]
+
+
+def _nearest_candidate(phases: np.ndarray, geometry: np.ndarray, need: np.ndarray):
+    """Geometry (per need) of the candidate phase at smallest wrapped distance.
+
+    phases and geometry are a _candidate_lookup pair. On the circle the
+    nearest candidate is always one of the two circular neighbours of the need
+    among the sorted phases, so only those two are compared; exact distance
+    ties resolve to the smaller geometry. Returns an array shaped like need.
+    """
     flat_need = need.reshape(-1)
     above = np.searchsorted(phases, flat_need)
     pair = np.stack([above - 1, above % phases.size])   # -1 wraps to the top
     dist = np.abs(wrap_phase(phases[pair] - flat_need))
-    geom = first[pair]
+    geom = geometry[pair]
     pick = (dist[1] < dist[0]) | ((dist[1] == dist[0]) & (geom[1] < geom[0]))
-    idx = np.where(pick, geom[1], geom[0])
-    return idx.reshape(need.shape), dist.min(axis=0).reshape(need.shape)
+    return np.where(pick, geom[1], geom[0]).reshape(need.shape)
 
 
 def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
@@ -245,12 +249,9 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     """
     if targets.shape != (grid.p_count, grid.p_count):
         raise LayoutError("target phases do not match the grid")
-    g_fine, gyy_fine = table.dense_grid
-    cand = np.angle(1.0 - gyy_fine)
     _, h_inc = incident_fields(scenario, *grid.cell_grid())
     need = wrap_phase(targets - np.angle(h_inc[0]))
-    idx, _ = _nearest_candidate(cand, need)
-    return DescriptorVector(values=g_fine[idx])
+    return DescriptorVector(values=_nearest_candidate(*table.synthesis_lookup, need))
 
 
 def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,
@@ -294,5 +295,11 @@ def ems_upper_bound_tpa(scenario: LinkScenario, side_l: float) -> float:
     """Ideal-skin path attenuation bound for a square panel of the given side."""
     if side_l <= 0:
         raise DomainError("panel side must be positive")
+    try:
+        spread = (4.0 * math.pi * scenario.r_tx * scenario.r_rx) ** 2
+    except OverflowError:
+        spread = math.inf
+    if not 0.0 < spread < math.inf:     # tiny arms underflow, huge ones overflow
+        raise DomainError("antenna distances put the ideal-skin bound out of float range")
     return (scenario.g_tx * scenario.g_rx * math.cos(scenario.theta0) ** 2
-            * side_l**4 / (4.0 * math.pi * scenario.r_tx * scenario.r_rx) ** 2)
+            * side_l**4 / spread)

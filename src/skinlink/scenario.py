@@ -156,20 +156,14 @@ def parse_scenario(text: str) -> LinkScenario:
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    fields = {_SCENARIO_KEYS[key]: value for key, value in raw.items()}
     try:
-        g_tx, g_rx = (10.0 ** (raw[key] / 10.0) for key in ("g_tx_dbi", "g_rx_dbi"))
+        for name in ("g_tx", "g_rx"):
+            fields[name] = 10.0 ** (fields[name] / 10.0)
     except OverflowError:
         raise ConfigError("g_tx_dbi or g_rx_dbi overflows a linear gain") from None
-    return LinkScenario(
-        f=raw["f_hz"],
-        p_tx=raw["p_tx_w"],
-        g_tx=g_tx,
-        g_rx=g_rx,
-        r_tx=raw["r_tx_m"],
-        r_rx=raw["r_rx_m"],
-        theta0=math.radians(raw["theta0_deg"]),
-        delta=raw.get("delta_m"),
-    )
+    fields["theta0"] = math.radians(fields["theta0"])
+    return LinkScenario(**fields)
 
 
 def load_scenario(path) -> LinkScenario:

@@ -262,8 +262,16 @@ def test_markers_degenerate_table(pec_table):
 
 
 def test_markers_needs_rows(baseline, table):
+    # no rows bracket nothing; rows of another variable's sweep are no side sweep
+    assert sk.markers([], baseline, table) == sk.MarkerSet(l_th_ems=None, l_pcs_ems=None)
+    rows = sk.sweep(baseline, "r_rx", [10.0, 15.0, 20.0], table, side_l=0.2)
     with pytest.raises(sk.DomainError):
-        sk.markers([], baseline, table)
+        sk.markers(rows, baseline, table)
+
+
+def test_markers_from_two_rows(baseline, table, markers19):
+    rows = sk.sweep(baseline, "side_l", [0.2, 0.6], table)
+    assert sk.markers(rows, baseline, table) == markers19
 
 
 def test_delta_metrics_baseline_margins(sweep19):

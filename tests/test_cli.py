@@ -196,6 +196,35 @@ def test_unallocatable_panel_exit(scenario_file, tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == "error: Unable to allocate 1.31 TiB for an array\n"
 
 
+_BOUND_ERROR = "antenna distances put the ideal-skin bound out of float range"
+
+
+@pytest.fixture
+def tiny_arm_file(tmp_path):
+    # (4 pi r_tx r_rx)^2 underflows to 0, the divisor of the ideal-skin bound
+    path = tmp_path / "tiny.cfg"
+    path.write_text(BASE_CONFIG.replace("r_tx_m = 15", "r_tx_m = 1e-300"))
+    return str(path)
+
+
+def test_design_tiny_arm_exit(tiny_arm_file, tmp_path, capsys):
+    code = main(["design", "--scenario", tiny_arm_file, "--side-l", "0.01",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {_BOUND_ERROR}\n"
+
+
+def test_sweep_tiny_arm_records_every_row(tiny_arm_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", tiny_arm_file, "--values", "0.01,0.02,0.03",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "".join(
+        f"row {v}: DomainError: {_BOUND_ERROR}\n" for v in (0.01, 0.02, 0.03))
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [f"side_l,{v},nan,nan,nan,nan,false" for v in (0.01, 0.02, 0.03)]
+
+
 def test_sweep_rerun_byte_identical(scenario_file, tmp_path):
     outs = []
     for name in ("s1", "s2"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.ems import _nearest_candidate
+from skinlink.ems import _candidate_lookup, _nearest_candidate
 
 from helpers import make_scenario, subsampled_table, table_csv
 
@@ -179,18 +179,20 @@ def test_uniform_gamma_phase_does_not_steer():
 
 # --- synthesis ------------------------------------------------------------
 
+def nearest_index(cand, needs):
+    """Index (per need) of the nearest candidate: the lookup over geometry 0, 1, ..."""
+    return _nearest_candidate(*_candidate_lookup(cand, np.arange(cand.size)), needs)
+
+
 def test_nearest_candidate_tie_prefers_smaller_geometry():
     cand = np.array([-0.5, 0.5])
-    idx, dist = _nearest_candidate(cand, np.array([0.0]))
-    assert idx[0] == 0
-    assert dist[0] == pytest.approx(0.5)
-    idx, _ = _nearest_candidate(cand[::-1].copy(), np.array([0.0]))
-    assert idx[0] == 0
+    assert nearest_index(cand, np.array([0.0]))[0] == 0
+    assert nearest_index(cand[::-1].copy(), np.array([0.0]))[0] == 0
 
 
 def test_nearest_candidate_wraparound():
     cand = np.array([-1.4, -0.2, 1.3])
-    idx, _ = _nearest_candidate(cand, np.array([3.1]))  # close to pi: wraps to -1.4
+    idx = nearest_index(cand, np.array([3.1]))  # close to pi: wraps to -1.4
     assert idx[0] == 0
 
 
@@ -198,12 +200,12 @@ def test_nearest_candidate_brute_path_matches_fast_path():
     rng = np.random.default_rng(9)
     mono = np.sort(rng.uniform(-1.2, 1.2, size=41))
     needs = rng.uniform(-math.pi, math.pi, size=300)
-    fast_idx, fast_d = _nearest_candidate(mono, needs)
+    fast_idx = nearest_index(mono, needs)
     shuffled = mono.copy()
     shuffled[5], shuffled[6] = shuffled[6], shuffled[5]  # break monotonicity
-    brute_idx, brute_d = _nearest_candidate(shuffled, needs)
-    distances = np.abs(sk.wrap_phase(mono[fast_idx] - needs))
-    np.testing.assert_allclose(fast_d, distances, atol=1e-15)
+    brute_idx = nearest_index(shuffled, needs)
+    fast_d = np.abs(sk.wrap_phase(mono[fast_idx] - needs))
+    brute_d = np.abs(sk.wrap_phase(shuffled[brute_idx] - needs))
     np.testing.assert_allclose(brute_d, fast_d, atol=1e-15)
     np.testing.assert_array_equal(shuffled[brute_idx], mono[fast_idx])
 
@@ -226,11 +228,24 @@ def lattice(step):
        needs=st.lists(lattice(2.0 ** -21), min_size=1, max_size=20))
 def test_nearest_candidate_matches_brute_force(cand, needs):
     cand, needs = np.array(cand), np.array(needs)
-    idx, best = _nearest_candidate(cand, needs)
+    idx = nearest_index(cand, needs)
     dist = np.abs(sk.wrap_phase(cand[None, :] - needs[:, None]))
     brute = np.argmin(dist, axis=1)                   # first minimum: smaller index
     np.testing.assert_array_equal(idx, brute)
-    np.testing.assert_array_equal(best, dist[np.arange(needs.size), brute])
+
+
+def test_synthesis_lookup_is_sorted_distinct_and_read_only(table):
+    phases, geometry = table.synthesis_lookup
+    assert np.all(np.diff(phases) > 0)
+    assert geometry.shape == phases.shape
+    lo, hi = table.g_range
+    assert np.all((geometry >= lo) & (geometry <= hi))
+    np.testing.assert_array_equal(np.angle(1.0 - table.gamma_at(geometry)[1]), phases)
+    for array in (phases, geometry):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert table.synthesis_lookup is table.synthesis_lookup
 
 
 def test_synthesis_on_single_candidate_table(baseline):
@@ -295,8 +310,7 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
     d = sk.synthesize_layout(grid, table, targets, baseline)
     phi = sk.synthesis_mismatch(grid, layout_currents(grid, table, d, baseline), targets)
 
-    g_fine, gyy_fine = table.dense_grid
-    cand = np.angle(1.0 - gyy_fine)
+    cand, _ = table.synthesis_lookup
     _, h = sk.incident_fields(baseline, *grid.cell_grid())
     need = sk.wrap_phase(targets - np.angle(h[0]))
     brute = np.abs(sk.wrap_phase(cand[None, None, :] - need[:, :, None]))

@@ -81,6 +81,20 @@ def test_specular_field_has_no_cross_polarization(f, r_tx, r_rx, theta0_deg, cel
         assert abs(field.e_theta) <= 1e-12 * magnitude
 
 
+@settings(max_examples=200, deadline=None)
+@given(f=geometry["f"], r_tx=geometry["r_tx"], r_rx=geometry["r_rx"],
+       theta0_deg=geometry["theta0_deg"], g_tx_dbi=st.floats(0.0, 30.0),
+       g_rx_dbi=st.floats(0.0, 30.0))
+def test_threshold_side_meets_the_infinite_screen_limit(f, r_tx, r_rx, theta0_deg,
+                                                        g_tx_dbi, g_rx_dbi):
+    # L_TH is the side whose ideal-skin bound equals the infinite-screen limit
+    scenario = sk.LinkScenario(f=f, p_tx=0.1, g_tx=10.0 ** (g_tx_dbi / 10.0),
+                               g_rx=10.0 ** (g_rx_dbi / 10.0), r_tx=r_tx, r_rx=r_rx,
+                               theta0=math.radians(theta0_deg))
+    bound = sk.ems_upper_bound_tpa(scenario, sk.l_threshold(scenario))
+    assert math.isclose(bound, sk.pcs_asymptotic_tpa(scenario), rel_tol=1e-12)
+
+
 def _oracle_error(currents, obs, wavelength):
     closed = sk.scattered_field(currents, obs, wavelength, fresnel="off")
     oracle = quadrature_oracle(currents, obs, wavelength)

@@ -1,11 +1,13 @@
 """Constants, link scenario, source model and config parsing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import skinlink as sk
+from skinlink.scenario import _SCENARIO_KEYS
 
 from helpers import make_scenario
 
@@ -171,6 +173,11 @@ def test_parse_scenario_reports_bad_value_line():
 def test_parse_scenario_gain_overflow():
     with pytest.raises(sk.ConfigError, match="g_tx_dbi"):
         sk.parse_scenario(GOOD_CONFIG.replace("g_tx_dbi = 15.4", "g_tx_dbi = 4000"))
+
+
+def test_scenario_keys_name_every_field():
+    fields = {field.name for field in dataclasses.fields(sk.LinkScenario)}
+    assert set(_SCENARIO_KEYS.values()) == fields
 
 
 def test_parse_scenario_missing_and_duplicate():

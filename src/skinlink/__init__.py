@@ -12,9 +12,8 @@ from .analysis import (MarkerSet, OptimalityInterval, TpaSweepRow, l_threshold,
 from .aperture import (ApertureGrid, DescriptorVector, discretize, export_layout,
                        import_layout, scenario_fingerprint)
 from .constants import C0, ETA0
-from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_tpa,
-                  ems_upper_bound_tpa, gstc_currents, ideal_current_phases,
-                  load_reflection_table, parse_reflection_table,
+from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_upper_bound_tpa,
+                  gstc_currents, ideal_current_phases, load_reflection_table,
                   reflection_currents, synthesis_mismatch, synthesize_layout,
                   synthetic_table, wrap_phase)
 from .errors import (ConfigError, DomainError, FresnelValidityError, GeometryError,
@@ -22,8 +21,8 @@ from .errors import (ConfigError, DomainError, FresnelValidityError, GeometryErr
 from .field_engine import (CutMap, FieldCut, ObservationPoint, ScatteredField,
                            SurfaceCurrents, beta, check_fresnel, field_cut_map,
                            fresnel_min_distance, l_fresnel, received_power,
-                           receiver_frame, receiver_tpa, scattered_field,
-                           scattered_field_at_points, sinc)
+                           receiver_tpa, scattered_field, scattered_field_at_points,
+                           sinc)
 from .pcs import PcsPanel, pcs_asymptotic_tpa, pcs_currents, pcs_tpa
 from .scenario import (LinkScenario, db, incident_fields, load_scenario,
                        parse_scenario, wavelength)

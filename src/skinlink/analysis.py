@@ -9,9 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .aperture import discretize
-from .ems import ReflectionLookupTable, design_panel, ems_tpa, ems_upper_bound_tpa
+from .ems import ReflectionLookupTable, design_panel, ems_upper_bound_tpa, gstc_currents
 from .errors import DomainError, SkinlinkError
-from .field_engine import fresnel_min_distance, l_fresnel
+from .field_engine import fresnel_min_distance, l_fresnel, receiver_tpa
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario
 
@@ -76,7 +76,7 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
     requested side; sweep replaces both for its own variable.
     """
     panel, _ = design_panel(scenario, side_l, table)
-    a_ems = ems_tpa(scenario, panel)
+    a_ems = receiver_tpa(gstc_currents(panel, scenario), scenario)
     a_pcs = pcs_tpa(scenario, side_l)
     side = panel.grid.side_l
     return TpaSweepRow(
@@ -130,10 +130,9 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
                               f"({scenario.pitch} m)")
 
     def one(value: float) -> TpaSweepRow:
-        point_scenario = _scenario_for(scenario, variable, value)
         length = value if variable == "side_l" else side_l
-        try:
-            row = evaluate_point(point_scenario, length, table)
+        try:    # the point's scenario too: an arm can put the link out of float range
+            row = evaluate_point(_scenario_for(scenario, variable, value), length, table)
         except SkinlinkError as exc:  # recorded per row, sweep continues
             return TpaSweepRow(variable=variable, value=value,
                                a_pcs=math.nan, a_ems=math.nan, a_opt=math.nan,

@@ -53,13 +53,18 @@ def discretize(side_l: float, pitch: float) -> ApertureGrid:
     """Split a square panel of side side_l into cells of the given pitch.
 
     The cell count per axis is round(side_l/pitch) (half away from zero) and
-    the side is snapped to an exact multiple of the pitch.
+    the side is snapped to an exact multiple of the pitch. A count too large
+    for a numpy axis is a GeometryError.
     """
     if not (math.isfinite(side_l) and math.isfinite(pitch) and side_l > 0 and pitch > 0):
         raise GeometryError("panel side and pitch must be finite and positive")
     if side_l < pitch:
         raise GeometryError(f"panel side {side_l} m is smaller than one cell ({pitch} m)")
-    p = int(math.floor(side_l / pitch + 0.5))
+    cells = side_l / pitch
+    # numpy arrays span at most intp.max bytes, so no axis of 8-byte floats is longer
+    if not cells < np.iinfo(np.intp).max / 8:     # inf too
+        raise GeometryError(f"panel side {side_l} m has too many cells of {pitch} m for an array")
+    p = int(math.floor(cells + 0.5))
     return ApertureGrid(pitch=pitch, p_count=p)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .aperture import ApertureGrid, DescriptorVector, discretize
 from .errors import ConfigError, DomainError, LayoutError
-from .field_engine import ObservationPoint, SurfaceCurrents, beta, receiver_tpa
+from .field_engine import ObservationPoint, SurfaceCurrents, beta
 from .scenario import LinkScenario, incident_fields
 
 _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
@@ -137,10 +137,6 @@ def load_reflection_table(path) -> ReflectionLookupTable:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not ASCII text (byte {exc.start})") from None
-    return parse_reflection_table(text)
-
-
-def parse_reflection_table(text: str) -> ReflectionLookupTable:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -285,21 +281,9 @@ def gstc_currents(panel: EmsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     return reflection_currents(panel.grid, scenario, gxx, gyy)
 
 
-def ems_tpa(scenario: LinkScenario, panel: EmsPanel) -> float:
-    """Realized skin path attenuation P_rx/P_tx at the specular receiver;
-    evaluates only, the Fresnel check is the command's (see receiver_tpa)."""
-    return receiver_tpa(gstc_currents(panel, scenario), scenario)
-
-
 def ems_upper_bound_tpa(scenario: LinkScenario, side_l: float) -> float:
     """Ideal-skin path attenuation bound for a square panel of the given side."""
     if side_l <= 0:
         raise DomainError("panel side must be positive")
-    try:
-        spread = (4.0 * math.pi * scenario.r_tx * scenario.r_rx) ** 2
-    except OverflowError:
-        spread = math.inf
-    if not 0.0 < spread < math.inf:     # tiny arms underflow, huge ones overflow
-        raise DomainError("antenna distances put the ideal-skin bound out of float range")
     return (scenario.g_tx * scenario.g_rx * math.cos(scenario.theta0) ** 2
-            * side_l**4 / spread)
+            * side_l**4 / (4.0 * math.pi * scenario.r_tx * scenario.r_rx) ** 2)

@@ -292,10 +292,17 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
 
 
 def received_power(field: ScatteredField, g_rx: float, wavelength: float) -> float:
-    """Power [W] collected by a matched receiver of gain g_rx from the field."""
-    return (wavelength**2 * g_rx
-            * (abs(field.e_theta) ** 2 + abs(field.e_phi) ** 2)
-            / (8.0 * math.pi * ETA0))
+    """Power [W] collected by a matched receiver of gain g_rx from the field;
+    DomainError if it leaves float range (a receiver almost on the panel)."""
+    try:
+        power = (wavelength**2 * g_rx
+                 * (abs(field.e_theta) ** 2 + abs(field.e_phi) ** 2)
+                 / (8.0 * math.pi * ETA0))
+    except OverflowError:
+        power = math.inf
+    if not power < math.inf:    # NaN fails too
+        raise DomainError("received power is out of float range")
+    return power
 
 
 def receiver_tpa(currents: SurfaceCurrents, scenario) -> float:
@@ -342,19 +349,6 @@ class CutMap:
     e_total_abs: np.ndarray  # total field magnitude [V/m]
 
 
-def receiver_frame(theta0: float):
-    """Receiver-local orthonormal axes (x'', y'', z'') in panel Cartesian frame.
-
-    z'' points from the panel center toward the receiver, y'' is the panel
-    y axis, x'' completes the right-handed triple.
-    """
-    s, c = math.sin(theta0), math.cos(theta0)
-    z2 = np.array([s, 0.0, c])
-    x2 = np.array([c, 0.0, -s])
-    y2 = np.array([0.0, 1.0, 0.0])
-    return x2, y2, z2
-
-
 def field_cut_map(currents: SurfaceCurrents, cut: FieldCut, scenario,
                   fresnel: str = "off") -> CutMap:
     """Sample |E_sca| on a uniform grid in the receiver-local cut plane.
@@ -367,10 +361,12 @@ def field_cut_map(currents: SurfaceCurrents, cut: FieldCut, scenario,
     check_fresnel(currents.grid.side_l, scenario.wavelength, scenario.r_rx, fresnel)
     n = cut.points if cut.half_extent > 0 else 1
     axis = np.linspace(-cut.half_extent, cut.half_extent, n) if n > 1 else np.zeros(1)
-    x2, y2, z2 = receiver_frame(scenario.theta0)
+    # x'' = y'' x z'', with y'' the panel y axis and z'' pointing at the receiver
+    s, c = math.sin(scenario.theta0), math.cos(scenario.theta0)
+    x2 = np.array([c, 0.0, -s])
+    second = np.array([0.0, 1.0, 0.0]) if cut.plane == "transversal" else np.array([s, 0.0, c])
     center = scenario.rx_position
     U, V = np.meshgrid(axis, axis, indexing="ij")
-    second = y2 if cut.plane == "transversal" else z2
     pts = (center[None, :]
            + U.reshape(-1)[:, None] * x2[None, :]
            + V.reshape(-1)[:, None] * second[None, :])

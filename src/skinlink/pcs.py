@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .aperture import ApertureGrid, discretize
 from .ems import reflection_currents
-from .errors import DomainError
 from .field_engine import SurfaceCurrents, receiver_tpa
 from .scenario import LinkScenario
 
@@ -29,8 +28,6 @@ def pcs_currents(panel: PcsPanel, scenario: LinkScenario) -> SurfaceCurrents:
 def pcs_tpa(scenario: LinkScenario, side_l: float) -> float:
     """Path attenuation P_rx/P_tx of a conducting screen of the given side;
     evaluates only, the Fresnel check is the command's (see receiver_tpa)."""
-    if side_l <= 0:
-        raise DomainError("panel side must be positive")
     grid = discretize(side_l, scenario.pitch)
     currents = pcs_currents(PcsPanel(grid=grid), scenario)
     return receiver_tpa(currents, scenario)

@@ -31,11 +31,20 @@ def db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
+def _squared(x: float) -> float:
+    """x ** 2 as the closed forms compute it, inf where the float power overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LinkScenario:
     """One specular NLOS link: carrier, powers, gains and bounce geometry.
 
     Gains are linear (dimensionless), angles in radians, SI units throughout.
+    (4 pi r_tx r_rx)^2 and the infinite-screen limit must be finite and positive.
     """
 
     f: float                      # carrier frequency [Hz]
@@ -62,6 +71,13 @@ class LinkScenario:
             raise DomainError("theta0 must lie in [0, pi/2)")
         if self.delta is not None and self.delta <= 0:
             raise DomainError("cell pitch must be positive")
+        # the closed forms divide by the first and compare against the second
+        if not 0.0 < _squared(4.0 * math.pi * self.r_tx * self.r_rx) < math.inf:
+            raise DomainError("antenna distances put the ideal-skin bound out of float range")
+        a_inf = (_squared(self.wavelength / (4.0 * math.pi * (self.r_rx + self.r_tx)))
+                 * self.g_rx * self.g_tx)
+        if not 0.0 < a_inf < math.inf:
+            raise DomainError("the link puts the infinite-screen limit out of float range")
 
     @property
     def wavelength(self) -> float:

@@ -55,7 +55,7 @@ def test_criterion_4_link_length_scaling():
 def test_criterion_5_realized_skin_attenuation(baseline, panel08):
     panel, _ = panel08
     assert panel.grid.cell_count == 20736
-    a_ems = sk.db(sk.ems_tpa(baseline, panel))
+    a_ems = sk.db(sk.receiver_tpa(sk.gstc_currents(panel, baseline), baseline))
     verdict(5, -50.0 <= a_ems <= -43.4,
             f"realized skin attenuation {a_ems:.2f} dB in [-50.0, -43.4]")
 
@@ -121,7 +121,7 @@ def test_criterion_8_pec_degeneration():
             theta0=float(rng.uniform(0.0, math.radians(55.0))))
         side = float(rng.uniform(0.1, 0.5))
         panel, _ = sk.design_panel(s, side, pec)
-        a_ems = sk.ems_tpa(s, panel)
+        a_ems = sk.receiver_tpa(sk.gstc_currents(panel, s), s)
         a_pcs = sk.pcs_tpa(s, side)
         worst = max(worst, abs(a_ems - a_pcs) / a_pcs)
     verdict(8, worst <= 1e-12,
@@ -150,7 +150,7 @@ def test_criterion_10_angle_ordering(table):
     for theta_deg in (20.0, 30.0, 45.0):
         s = make_scenario(g_dbi=25.5, theta0_deg=theta_deg)
         panel, _ = sk.design_panel(s, 1.0, table)
-        tpa[theta_deg] = sk.db(sk.ems_tpa(s, panel))
+        tpa[theta_deg] = sk.db(sk.receiver_tpa(sk.gstc_currents(panel, s), s))
     ok = tpa[20.0] > tpa[30.0] > tpa[45.0]
     verdict(10, ok, f"attenuation ordering over incidence angle: {tpa}")
 

@@ -214,15 +214,85 @@ def test_design_tiny_arm_exit(tiny_arm_file, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {_BOUND_ERROR}\n"
 
 
-def test_sweep_tiny_arm_records_every_row(tiny_arm_file, tmp_path, capsys):
+def test_sweep_tiny_arm_rejected_at_load(tiny_arm_file, tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["sweep", "--scenario", tiny_arm_file, "--values", "0.01,0.02,0.03",
                  "--out", str(out)])
     assert code == 1
+    assert capsys.readouterr().err == f"error: {_BOUND_ERROR}\n"
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("variable, errors", [
+    ("r_rx", [_BOUND_ERROR, "received power is out of float range"]),
+    ("rho", [_BOUND_ERROR, _BOUND_ERROR]),
+])
+def test_sweep_tiny_swept_arm_records_every_row(scenario_file, tmp_path, capsys,
+                                                variable, errors):
+    # a 1e-300 m arm underflows (4 pi r_tx r_rx)^2; at 1e-160 m the receiver
+    # sits so close to the panel that the received power overflows
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", scenario_file, "--variable", variable,
+                 "--values", "1e-300,1e-160,1", "--side-l", "0.1", "--out", str(out)])
+    assert code == 0
     assert capsys.readouterr().err == "".join(
-        f"row {v}: DomainError: {_BOUND_ERROR}\n" for v in (0.01, 0.02, 0.03))
+        f"row {v}: DomainError: {e}\n" for v, e in zip(("1e-300", "1e-160"), errors))
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[1:] == [f"side_l,{v},nan,nan,nan,nan,false" for v in (0.01, 0.02, 0.03)]
+    assert lines[1:3] == [f"{variable},{v},nan,nan,nan,nan,false" for v in ("1e-300", "1e-160")]
+    assert lines[3].startswith(f"{variable},1.0,") and "nan" not in lines[3]
+
+
+def _config_file(tmp_path, **values):
+    """BASE_CONFIG with the given keys set, appended where it lacks them."""
+    lines = [line for line in BASE_CONFIG.splitlines() if line.split(" =")[0] not in values]
+    path = tmp_path / "edge.cfg"
+    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in values.items()]) + "\n")
+    return str(path)
+
+
+_INDEX_ERROR = "panel side {} m has too many cells of {} m for an array"
+
+
+# 1e-19 m cells: 2e18 per axis, 1.6e19 bytes of float64, more than numpy can describe
+@pytest.mark.parametrize("side, delta", [("0.1", "1e-300"), ("1e300", "1e-10"),
+                                         ("0.2", "1e-19")])
+def test_design_uncountable_cells_exit(tmp_path, capsys, side, delta):
+    cfg = _config_file(tmp_path, delta_m=delta)
+    out = tmp_path / "o"
+    code = main(["design", "--scenario", cfg, "--side-l", side, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {_INDEX_ERROR.format(float(side), float(delta))}\n"
+    assert not out.exists()
+
+
+def test_sweep_uncountable_cells_records_every_row(tmp_path, capsys):
+    cfg = _config_file(tmp_path, delta_m="1e-300")
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", cfg, "--values", "0.1,0.2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "".join(
+        f"row {v}: GeometryError: {_INDEX_ERROR.format(v, 1e-300)}\n" for v in (0.1, 0.2))
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [f"side_l,{v},nan,nan,nan,nan,false" for v in (0.1, 0.2)]
+
+
+_LIMIT_ERROR = "the link puts the infinite-screen limit out of float range"
+
+
+@pytest.mark.parametrize("argv, replace, message", [
+    (["thresholds"], {"r_tx_m": "1e200", "r_rx_m": "1e200"}, _BOUND_ERROR),
+    (["design", "--side-l", "0.1"], {"r_tx_m": "1e200", "r_rx_m": "1e200"}, _BOUND_ERROR),
+    # L_TH is about 11 km here, but (4 pi r_tx r_rx)^2 overflows
+    (["thresholds"], {"r_tx_m": "1e305", "r_rx_m": "1e10"}, _BOUND_ERROR),
+    (["thresholds"], {"f_hz": "1e300"}, _LIMIT_ERROR),
+], ids=["thresholds-1e200-arms", "design-1e200-arms", "thresholds-1e305-arm",
+        "thresholds-1e300-hz"])
+def test_link_out_of_float_range_exit(tmp_path, capsys, argv, replace, message):
+    out = tmp_path / "o"
+    code = main([*argv, "--scenario", _config_file(tmp_path, **replace), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "markers.json").exists()
 
 
 def test_sweep_rerun_byte_identical(scenario_file, tmp_path):

@@ -255,7 +255,7 @@ def test_synthesis_on_single_candidate_table(baseline):
                                       gamma_yy=np.array([1j, -1j]))
     panel, _ = sk.design_panel(baseline, 0.05, narrow)
     np.testing.assert_array_equal(panel.d.values, 1.0e-3)
-    assert sk.ems_tpa(baseline, panel) > 0.0
+    assert sk.receiver_tpa(sk.gstc_currents(panel, baseline), baseline) > 0.0
 
 
 def current_phase(table, g_values, scenario, grid):
@@ -340,14 +340,14 @@ def test_ems_tpa_independent_of_transmit_power(table):
     high = make_scenario(p_tx=10.0)
     panel_low, _ = sk.design_panel(low, 0.3, table)
     panel_high, _ = sk.design_panel(high, 0.3, table)
-    a_low = sk.ems_tpa(low, panel_low)
-    a_high = sk.ems_tpa(high, panel_high)
+    a_low = sk.receiver_tpa(sk.gstc_currents(panel_low, low), low)
+    a_high = sk.receiver_tpa(sk.gstc_currents(panel_high, high), high)
     assert abs(a_low - a_high) <= 1e-12 * a_low
 
 
 def test_ems_tpa_desk_scale_band(baseline, panel08):
     panel, _ = panel08
-    a = sk.db(sk.ems_tpa(baseline, panel))
+    a = sk.db(sk.receiver_tpa(sk.gstc_currents(panel, baseline), baseline))
     assert -50.0 <= a <= -43.4
 
 
@@ -355,7 +355,8 @@ def test_ems_beats_equal_screen_at_one_meter(baseline, panel10):
     # ideal lossless cells: the margin exceeds the realized-cell figure but
     # stays below the bound-implied cap (see decisions ledger)
     panel, _ = panel10
-    d = sk.db(sk.ems_tpa(baseline, panel)) - sk.db(sk.pcs_tpa(baseline, 1.0))
+    d = sk.db(sk.receiver_tpa(sk.gstc_currents(panel, baseline), baseline)) \
+        - sk.db(sk.pcs_tpa(baseline, 1.0))
     cap = sk.db(sk.ems_upper_bound_tpa(baseline, panel.grid.side_l)) \
         - sk.db(sk.pcs_tpa(baseline, 1.0))
     assert 13.0 <= d <= cap + 0.5
@@ -454,6 +455,6 @@ def test_phase_flip_sampled_on_larger_grid(baseline, table):
 
 def test_pec_table_degenerates_to_screen(baseline, pec_table):
     panel, _ = sk.design_panel(baseline, 0.3, pec_table)
-    a_ems = sk.ems_tpa(baseline, panel)
+    a_ems = sk.receiver_tpa(sk.gstc_currents(panel, baseline), baseline)
     a_pcs = sk.pcs_tpa(baseline, 0.3)
     assert abs(a_ems - a_pcs) <= 1e-12 * a_pcs

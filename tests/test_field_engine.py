@@ -135,6 +135,15 @@ def test_received_power_values():
     assert sk.received_power(sk.ScatteredField(0.3 + 1j, -2.1j), 7.0, LAMBDA) >= 0.0
 
 
+# |E|^2 overflows the float power; an infinite field, as an overflowing cell
+# sum gives, makes no OverflowError, and infinities can cancel to NaN
+@pytest.mark.parametrize("e_theta, e_phi", [(1e200, 0.0), (complex(math.inf, 0.0), 0.0),
+                                            (complex(math.nan, 0.0), 0.0)])
+def test_received_power_out_of_float_range(e_theta, e_phi):
+    with pytest.raises(sk.DomainError, match="received power is out of float range"):
+        sk.received_power(sk.ScatteredField(e_theta, e_phi), 1.0, LAMBDA)
+
+
 def test_fresnel_min_distance_values():
     d = sk.fresnel_min_distance(0.8, LAMBDA)
     assert d == pytest.approx(11.3137, abs=2e-4)

@@ -37,7 +37,8 @@ def test_pec_skin_equals_screen_through_receiver_tpa(f, r_tx, r_rx, theta0_deg, 
     sheet = sk.reflection_currents(grid, scenario, -1.0, -1.0)
     assert sk.receiver_tpa(sheet, scenario) == a_pcs
     panel, _ = sk.design_panel(scenario, side, PEC)
-    assert math.isclose(sk.ems_tpa(scenario, panel), a_pcs, rel_tol=1e-12)
+    assert math.isclose(sk.receiver_tpa(sk.gstc_currents(panel, scenario), scenario), a_pcs,
+                        rel_tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,7 +53,8 @@ def test_tpa_invariant_under_joint_wavelength_and_length_scaling(
         length = cells * scenario.pitch          # scaled side, whole cells
         panel, _ = sk.design_panel(scenario, length, TABLE)
         assert panel.grid.p_count == cells
-        tpa.append((sk.pcs_tpa(scenario, length), sk.ems_tpa(scenario, panel)))
+        tpa.append((sk.pcs_tpa(scenario, length),
+                    sk.receiver_tpa(sk.gstc_currents(panel, scenario), scenario)))
     np.testing.assert_allclose(tpa[1], tpa[0], rtol=1e-9)
 
 
@@ -61,7 +63,7 @@ def test_tpa_invariant_under_joint_wavelength_and_length_scaling(
 def test_skin_stays_below_the_ideal_bound(f, r_tx, r_rx, theta0_deg, cells):
     scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
     panel, _ = sk.design_panel(scenario, cells * scenario.pitch, TABLE)
-    a_ems = sk.ems_tpa(scenario, panel)
+    a_ems = sk.receiver_tpa(sk.gstc_currents(panel, scenario), scenario)
     a_opt = sk.ems_upper_bound_tpa(scenario, panel.grid.side_l)
     assert sk.db(a_ems) <= sk.db(a_opt) + 0.5
 

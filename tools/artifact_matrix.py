@@ -1,0 +1,99 @@
+"""Run a fixed matrix of skinlink CLI commands and keep everything they produce.
+
+Usage: python tools/artifact_matrix.py SRC OUT
+
+SRC is the directory that holds the skinlink package (a checkout's src/).
+Every command runs as `python -m skinlink.cli` with PYTHONPATH=SRC, in its
+own directory OUT/<scenario>/<command>/, which receives the command's
+artifacts plus stdout.txt, stderr.txt and exit_code.txt. The inputs (three
+scenario files and a 22-row reflection table) are written under OUT as well
+and passed by relative path, so no absolute path reaches an output. Two OUT
+directories made from two checkouts hold the same bytes exactly when
+`diff -r OUT1 OUT2` prints nothing.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCENARIOS = {
+    "27ghz_33deg_14_17m": {"f_hz": "27e9", "p_tx_w": "0.1", "g_tx_dbi": "15.4",
+                           "g_rx_dbi": "15.4", "r_tx_m": "14", "r_rx_m": "17",
+                           "theta0_deg": "33"},
+    "3p5ghz_52deg_20_25m": {"f_hz": "3.5e9", "p_tx_w": "0.1", "g_tx_dbi": "15.4",
+                            "g_rx_dbi": "15.4", "r_tx_m": "20", "r_rx_m": "25",
+                            "theta0_deg": "52", "delta_m": "0.03"},
+    "27ghz_30deg_15_15m": {"f_hz": "27e9", "p_tx_w": "0.1", "g_tx_dbi": "15.4",
+                           "g_rx_dbi": "15.4", "r_tx_m": "15", "r_rx_m": "15",
+                           "theta0_deg": "30"},
+}
+
+TABLE = "../../table.csv"     # relative to a command's directory
+
+COMMANDS = {
+    "thresholds": ["thresholds"],
+    "design_0.8": ["design", "--side-l", "0.8"],
+    "design_1.3": ["design", "--side-l", "1.3"],
+    "design_0.6_table": ["design", "--side-l", "0.6", "--table", TABLE],
+    "sweep_side": ["sweep", "--values", "0.1:1.0:19"],
+    "sweep_side_table": ["sweep", "--values", "0.1:1.0:19", "--table", TABLE],
+    "sweep_theta0": ["sweep", "--variable", "theta0", "--values", "10,20,30,45",
+                     "--side-l", "0.3"],
+    "sweep_r_rx": ["sweep", "--variable", "r_rx", "--values", "10,20,30", "--side-l", "0.3"],
+    "sweep_rho": ["sweep", "--variable", "rho", "--values", "20,30,40", "--side-l", "0.3"],
+    "sweep_sub_cell_row": ["sweep", "--values", "0.001,0.1,0.2,0.4"],
+    "sweep_two_rows": ["sweep", "--values", "0.2,0.6"],
+    "cuts": ["cuts", "--side-l", "0.5", "--points", "21"],
+}
+
+
+def write_table(path: Path) -> None:
+    """Every third entry of synthetic_table() (22 rows) as a table CSV."""
+    from skinlink import synthetic_table
+
+    full = synthetic_table()
+    lines = ["g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy"]
+    for g, gxx, gyy in zip(full.g[::3], full.gamma_xx[::3], full.gamma_yy[::3]):
+        lines.append(",".join(repr(float(v)) for v in (g, gxx.real, gxx.imag,
+                                                       gyy.real, gyy.imag)))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    if not (src / "skinlink" / "__init__.py").is_file():
+        print(f"error: no skinlink package in {src}", file=sys.stderr)
+        return 2
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    sys.path.insert(0, str(src))
+    write_table(out / "table.csv")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for scenario, keys in SCENARIOS.items():
+        (out / scenario).mkdir()
+        (out / scenario / "scenario.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in keys.items()), encoding="ascii")
+        for name, args in COMMANDS.items():
+            run_dir = out / scenario / name
+            run_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "skinlink.cli", *args,
+                 "--scenario", "../scenario.cfg", "--out", "."],
+                cwd=run_dir, env=env, capture_output=True, check=False)
+            (run_dir / "stdout.txt").write_bytes(proc.stdout)
+            (run_dir / "stderr.txt").write_bytes(proc.stderr)
+            (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="ascii")
+            print(f"{scenario}/{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -54,10 +54,13 @@ def discretize(side_l: float, pitch: float) -> ApertureGrid:
 
     The cell count per axis is round(side_l/pitch) (half away from zero) and
     the side is snapped to an exact multiple of the pitch. A count too large
-    for a numpy axis is a GeometryError.
+    for a numpy axis, or a pitch whose cell area leaves float range, is a
+    GeometryError.
     """
     if not (math.isfinite(side_l) and math.isfinite(pitch) and side_l > 0 and pitch > 0):
         raise GeometryError("panel side and pitch must be finite and positive")
+    if not pitch * pitch < math.inf:
+        raise GeometryError(f"cell pitch {pitch} m has an area out of float range")
     if side_l < pitch:
         raise GeometryError(f"panel side {side_l} m is smaller than one cell ({pitch} m)")
     cells = side_l / pitch

@@ -30,6 +30,8 @@ _SCURVE_SWING = 0.4            # S-curve slope modulation of the synthetic table
 _SYNTHESIS_RESOLUTION = 1e-6   # geometry step [m] of the synthesis candidate grid
 _SYNTHETIC_G_RANGE = (0.3e-3, 5.0e-3)  # patch geometry span [m] of the synthetic table
 _SYNTHETIC_PHASE_SPAN = math.radians(300.0)  # reflection phase swing of the synthetic table
+_PHASE_BINS = 2**16            # uniform bins of need phase in the synthesis phase-bin index
+_BIN_MARGIN = 1e-9             # [rad] a bin this close to a decision boundary is mixed
 
 
 def wrap_phase(x):
@@ -87,28 +89,55 @@ class ReflectionLookupTable:
     def gamma_at(self, g_query):
         """Interpolated (gamma_xx, gamma_yy) at geometry values g_query [m].
 
-        A layout repeats few geometry values, so each distinct value is
-        interpolated once and the results are gathered back into place.
+        A value that lies exactly on the synthesis grid, as every synthesized
+        geometry does, is gathered from synthesis_grid; any other value is
+        interpolated on its own. Both give the bits _interp_column gives.
         """
         q = np.asarray(g_query, dtype=float)
-        distinct, inverse = np.unique(q, return_inverse=True)
-        self.check_range(distinct)
-        qc = np.clip(distinct, *self.g_range)
-        return tuple(self._interp_column(gamma, qc)[inverse].reshape(q.shape)
-                     for gamma in (self.gamma_xx, self.gamma_yy))
+        self.check_range(q)
+        qc = np.clip(q, *self.g_range).reshape(-1)
+        g_fine, *cached = self.synthesis_grid
+        idx = np.minimum(np.rint((qc - g_fine[0]) / _SYNTHESIS_RESOLUTION).astype(np.intp),
+                         g_fine.size - 1)
+        off = g_fine[idx] != qc
+        values = []
+        for gamma, fine in zip((self.gamma_xx, self.gamma_yy), cached):
+            column = fine[idx]
+            if off.any():
+                column[off] = self._interp_column(gamma, qc[off])
+            values.append(column.reshape(q.shape))
+        return tuple(values)
 
     @functools.cached_property
-    def synthesis_lookup(self):
-        """Sorted distinct phases of 1 - gamma_yy at the synthesis resolution and the
-        smallest geometry [m] reaching each, built once per table as read-only arrays."""
+    def synthesis_grid(self):
+        """The synthesis candidate grid, geometry [m] in 1 um steps over the
+        table range, and (gamma_xx, gamma_yy) interpolated on it; built once
+        per table as read-only arrays (g, gamma_xx, gamma_yy)."""
         lo, hi = self.g_range
         steps = int(math.floor((hi - lo) / _SYNTHESIS_RESOLUTION + 0.5))
         g_fine = lo + np.arange(steps + 1) * _SYNTHESIS_RESOLUTION
         g_fine[-1] = min(g_fine[-1], hi)
-        cand = np.angle(1.0 - self._interp_column(self.gamma_yy, g_fine))
-        phases, geometry = _candidate_lookup(cand, g_fine)
+        grid = (g_fine, *(self._interp_column(gamma, g_fine)
+                          for gamma in (self.gamma_xx, self.gamma_yy)))
+        for array in grid:
+            array.flags.writeable = False
+        return grid
+
+    @functools.cached_property
+    def synthesis_lookup(self):
+        """Sorted distinct phases of 1 - gamma_yy on the synthesis grid and the
+        smallest geometry [m] reaching each, built once per table as read-only arrays."""
+        g_fine, _, gamma_yy = self.synthesis_grid
+        phases, geometry = _candidate_lookup(np.angle(1.0 - gamma_yy), g_fine)
         phases.flags.writeable = geometry.flags.writeable = False
         return phases, geometry
+
+    @functools.cached_property
+    def phase_bins(self):
+        """_phase_bin_index of synthesis_lookup, built once per table, read-only."""
+        winners = _phase_bin_index(*self.synthesis_lookup)
+        winners.flags.writeable = False
+        return winners
 
 
 def synthetic_table() -> ReflectionLookupTable:
@@ -235,6 +264,59 @@ def _nearest_candidate(phases: np.ndarray, geometry: np.ndarray, need: np.ndarra
     return np.where(pick, geom[1], geom[0]).reshape(need.shape)
 
 
+def _phase_bin_index(phases: np.ndarray, geometry: np.ndarray) -> np.ndarray:
+    """The nearest-candidate winner of each of _PHASE_BINS uniform bins of need.
+
+    phases and geometry are a _candidate_lookup pair with phases in (-pi, pi],
+    as np.angle gives them for 1 - gamma (whose imaginary zero is never -0).
+    Bin b holds the needs [-pi + b w, -pi + (b + 1) w), w = 2 pi / _PHASE_BINS.
+    The circle splits into one arc per candidate at the midpoints between
+    circularly neighbouring phases, and inside its arc a candidate is the
+    unique nearest one. For a need between two neighbours, the two distances
+    _nearest_candidate compares differ by min(2 |need - midpoint|, s), s the
+    short arc between the neighbours, and are exact to a few ulps of pi. So
+    a bin whose span, widened by _BIN_MARGIN on each side, lies inside one arc
+    stores that candidate's geometry, which _nearest_candidate returns for
+    every need in the bin. Every other bin, one within _BIN_MARGIN of a
+    midpoint, stores NaN ("mixed"). s only falls below the margin when all of
+    two or more candidates lie within it of each other; then every bin is
+    mixed. Exact distance ties thus only occur in mixed bins.
+    """
+    gaps = np.diff(phases, append=phases[0] + 2.0 * math.pi)
+    if phases.size > 1 and 2.0 * math.pi - gaps.max() <= _BIN_MARGIN:
+        return np.full(_PHASE_BINS, np.nan)
+    width = 2.0 * math.pi / _PHASE_BINS
+    wrap_mid = (phases[-1] + phases[0] + 2.0 * math.pi) / 2.0   # in [top phase, phases[0] + 2 pi]
+    bounds = np.concatenate([[wrap_mid - 2.0 * math.pi],
+                             (phases[:-1] + phases[1:]) / 2.0, [wrap_mid]])
+    centres = -math.pi + (np.arange(_PHASE_BINS) + 0.5) * width
+    centres = np.where(centres < bounds[0], centres + 2.0 * math.pi, centres)   # into the
+    centres = np.where(centres >= bounds[-1], centres - 2.0 * math.pi, centres)  # bounds' turn
+    arc = np.clip(np.searchsorted(bounds, centres, side="right") - 1, 0, phases.size - 1)
+    margin = np.minimum(centres - bounds[arc], bounds[arc + 1] - centres)
+    return np.where(margin > width / 2.0 + _BIN_MARGIN, geometry[arc], np.nan)
+
+
+def _binned_candidate(phases: np.ndarray, geometry: np.ndarray, winners: np.ndarray,
+                      need: np.ndarray) -> np.ndarray:
+    """_nearest_candidate(phases, geometry, wrap_phase(need)) through the bin index.
+
+    need is any finite phase [rad], not yet wrapped; winners is
+    _phase_bin_index(phases, geometry). Each need's bin comes from a floor
+    and an integer modulo, which rounds like wrap_phase to about 1e-13 rad
+    for |need| up to a few hundred. That is far inside _BIN_MARGIN, so a need
+    whose bin lands one off lands in a neighbour holding the same winner, or
+    in a mixed bin. Needs in mixed bins go through _nearest_candidate, so the
+    result is the same array, bit for bit.
+    """
+    bins = np.floor((need + math.pi) * (_PHASE_BINS / (2.0 * math.pi))).astype(np.intp)
+    picked = winners[bins & (_PHASE_BINS - 1)]    # modulo the power of two _PHASE_BINS
+    mixed = np.isnan(picked)
+    if mixed.any():
+        picked[mixed] = _nearest_candidate(phases, geometry, wrap_phase(need[mixed]))
+    return picked
+
+
 def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
                       targets: np.ndarray, scenario: LinkScenario) -> DescriptorVector:
     """Pick each cell's geometry to best match its target current phase.
@@ -242,12 +324,16 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
     The mismatch functional separates cell by cell, so the exact minimizer is
     a per-cell nearest-phase lookup over the table interpolated at a 1 um
     geometry resolution. Matching targets the y-polarized electric current.
+    The lookup goes through the table's phase-bin index (_binned_candidate).
     """
     if targets.shape != (grid.p_count, grid.p_count):
         raise LayoutError("target phases do not match the grid")
+    if not np.all(np.isfinite(targets)):
+        raise LayoutError("target phases must be finite")
     _, h_inc = incident_fields(scenario, *grid.cell_grid())
-    need = wrap_phase(targets - np.angle(h_inc[0]))
-    return DescriptorVector(values=_nearest_candidate(*table.synthesis_lookup, need))
+    need = targets - np.angle(h_inc[0])
+    return DescriptorVector(values=_binned_candidate(*table.synthesis_lookup,
+                                                     table.phase_bins, need))
 
 
 def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,
@@ -285,5 +371,9 @@ def ems_upper_bound_tpa(scenario: LinkScenario, side_l: float) -> float:
     """Ideal-skin path attenuation bound for a square panel of the given side."""
     if side_l <= 0:
         raise DomainError("panel side must be positive")
+    try:
+        quartic = side_l**4
+    except OverflowError:
+        raise DomainError(f"ideal-skin bound of a {side_l} m panel is out of float range") from None
     return (scenario.g_tx * scenario.g_rx * math.cos(scenario.theta0) ** 2
-            * side_l**4 / (4.0 * math.pi * scenario.r_tx * scenario.r_rx) ** 2)
+            * quartic / (4.0 * math.pi * scenario.r_tx * scenario.r_rx) ** 2)

@@ -121,9 +121,14 @@ def fresnel_min_distance(side_l: float, wavelength: float) -> float:
     if side_l <= 0 or wavelength <= 0:
         raise DomainError("panel side and wavelength must be positive")
     diag = side_l * math.sqrt(2.0)
-    return max(_FRESNEL_DIAGONALS * diag,
-               _FRESNEL_RADIATING * math.sqrt(2.0 * side_l**3 * math.sqrt(2.0) / wavelength),
-               _FRESNEL_WAVELENGTHS * wavelength)
+    try:
+        radiating = _FRESNEL_RADIATING * math.sqrt(2.0 * side_l**3 * math.sqrt(2.0) / wavelength)
+    except OverflowError:
+        radiating = math.inf
+    if radiating == math.inf:   # side_l^3 left float range; its square root need not
+        radiating = (_FRESNEL_RADIATING * side_l
+                     * math.sqrt(side_l * 2.0 * math.sqrt(2.0) / wavelength))
+    return max(_FRESNEL_DIAGONALS * diag, radiating, _FRESNEL_WAVELENGTHS * wavelength)
 
 
 def l_fresnel(scenario) -> float:
@@ -132,8 +137,14 @@ def l_fresnel(scenario) -> float:
     if r < _FRESNEL_WAVELENGTHS * lam:
         raise FresnelValidityError(
             f"receiver distance {r} m is below {_FRESNEL_WAVELENGTHS:g} wavelengths")
-    return min(r / (_FRESNEL_DIAGONALS * math.sqrt(2.0)),
-               (lam / (2.0 * math.sqrt(2.0)) * (r / _FRESNEL_RADIATING) ** 2) ** (1.0 / 3.0))
+    scale = lam / (2.0 * math.sqrt(2.0))
+    try:
+        radiating = (scale * (r / _FRESNEL_RADIATING) ** 2) ** (1.0 / 3.0)
+    except OverflowError:
+        radiating = math.inf
+    if radiating == math.inf:   # (r / 0.62)^2 left float range; its cube root need not
+        radiating = scale ** (1.0 / 3.0) * (r ** (2.0 / 3.0) / _FRESNEL_RADIATING ** (2.0 / 3.0))
+    return min(r / (_FRESNEL_DIAGONALS * math.sqrt(2.0)), radiating)
 
 
 def check_fresnel(side_l: float, wavelength: float, r: float, mode: str) -> None:
@@ -247,7 +258,9 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
             for i, col in live:
                 sums[:, i] += _contract(a_n, col[blk], b_n)
 
-    return pre * (sums * w_theta).sum(axis=1), pre * (sums * w_phi).sum(axis=1)
+    # a field past float range becomes inf or nan here, which received_power rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pre * (sums * w_theta).sum(axis=1), pre * (sums * w_phi).sum(axis=1)
 
 
 def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,

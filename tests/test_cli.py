@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -293,6 +294,60 @@ def test_link_out_of_float_range_exit(tmp_path, capsys, argv, replace, message):
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "markers.json").exists()
+
+
+_AREA_ERROR = "cell pitch 1e+200 m has an area out of float range"
+
+
+def test_design_single_cell_beyond_float_area_exit(tmp_path, capsys):
+    # one 1e200 m cell: its area, and the cube in the Fresnel bound, overflow
+    cfg = _config_file(tmp_path, delta_m="1e200")
+    out = tmp_path / "o"
+    code = main(["design", "--scenario", cfg, "--side-l", "1e200", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {_AREA_ERROR}\n"
+    assert not out.exists()
+    code = main(["sweep", "--scenario", cfg, "--values", "1e200", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"row 1e+200: GeometryError: {_AREA_ERROR}\n"
+    assert (out / "sweep.csv").read_text().splitlines()[1:] == [
+        "side_l,1e+200,nan,nan,nan,nan,false"]
+
+
+def test_design_single_cell_beyond_fresnel_cube_exit(tmp_path, capsys):
+    # side_l**3 overflows in the Fresnel bound, and side_l**4 in the ideal-skin bound
+    cfg = _config_file(tmp_path, delta_m="1e103")
+    code = main(["design", "--scenario", cfg, "--side-l", "1e103",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: observation at r = 15.000 m is inside the "
+                              "Fresnel bound 3129217258693")
+    assert error == "error: ideal-skin bound of a 1e+103 m panel is out of float range"
+
+
+def test_thresholds_fresnel_side_past_float_square(tmp_path, capsys):
+    # (r_rx / 0.62)^2 overflows, but L_FR, its cube root, is about 4.7e102 m
+    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    out = tmp_path / "o"
+    code = main(["thresholds", "--scenario", cfg, "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    l_fr = json.loads((out / "markers.json").read_text())["l_fr_m"]
+    wavelength = sk.load_scenario(cfg).wavelength
+    log_l_fr = (math.log(wavelength / (2.0 * math.sqrt(2.0)))
+                + 2.0 * math.log(1e155 / 0.62)) / 3.0
+    assert l_fr == pytest.approx(math.exp(log_l_fr), rel=1e-12)
+
+
+def test_sweep_overflowing_field_prints_only_the_row_error(tmp_path, capsys):
+    # 1e300 W and a receiver 1e-160 m away: the field itself leaves float range
+    cfg = _config_file(tmp_path, p_tx_w="1e300")
+    code = main(["sweep", "--scenario", cfg, "--variable", "r_rx", "--values", "1e-160,1",
+                 "--side-l", "0.1", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "row 1e-160: DomainError: received power is out of float range\n")
 
 
 def test_sweep_rerun_byte_identical(scenario_file, tmp_path):

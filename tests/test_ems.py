@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.ems import _candidate_lookup, _nearest_candidate
+from skinlink.ems import (_PHASE_BINS, _binned_candidate, _candidate_lookup,
+                          _nearest_candidate, _phase_bin_index)
 
 from helpers import make_scenario, subsampled_table, table_csv
 
@@ -84,26 +85,43 @@ def test_gamma_lookup_range(table):
         table.gamma_at(hi + 1e-4)
     with pytest.raises(sk.LayoutError):
         table.gamma_at(lo - 1e-4)
-    with pytest.raises(sk.LayoutError):
-        table.gamma_at(np.array([lo, math.nan]))
+    on_grid = table.synthesis_grid[0][5]
+    for bad in (math.nan, math.inf, -math.inf, hi + 1e-9, lo - 1e-9):
+        with pytest.raises(sk.LayoutError, match="outside table range"):
+            table.gamma_at(np.array([[on_grid, on_grid], [bad, on_grid]]))
     gxx, gyy = table.gamma_at(np.array([lo, hi]))
     np.testing.assert_allclose(gxx, table.gamma_xx[[0, -1]], rtol=1e-12)
     np.testing.assert_allclose(gyy, table.gamma_yy[[0, -1]], rtol=1e-12)
 
 
 def test_gamma_at_matches_per_element_interpolation(table):
+    # the synthetic table, and two spans whose top lies off the 1 um synthesis
+    # lattice: below its last step (10.4 um), and clipping it (10.6 um)
+    spans = [sk.ReflectionLookupTable(g=np.array([1e-3, 1e-3 + span]),
+                                      gamma_xx=np.array([0.5j, -0.9]),
+                                      gamma_yy=np.array([-0.8 + 0.6j, 0.6 - 0.8j]))
+             for span in (10.4e-6, 10.6e-6)]
     rng = np.random.default_rng(3)
-    lo, hi = table.g_range
-    # table nodes, both ends, points within the range slack and random values,
-    # each repeated three times and shuffled into a 2-D query
-    distinct = np.concatenate([table.g[5:9], [lo, hi, lo - 5e-13, hi + 5e-13],
-                               rng.uniform(lo, hi, 16)])
-    query = rng.permutation(np.repeat(distinct, 3)).reshape(6, 12)
-    for gamma, got in zip((table.gamma_xx, table.gamma_yy), table.gamma_at(query)):
-        mag, phase = np.abs(gamma), np.unwrap(np.angle(gamma))
-        one_by_one = [np.interp(g, table.g, mag) * np.exp(1j * np.interp(g, table.g, phase))
-                      for g in np.clip(query.reshape(-1), lo, hi)]
-        assert np.array_equal(got, np.reshape(one_by_one, query.shape))
+    for tab in (table, *spans):
+        lo, hi = tab.g_range
+        g_fine = tab.synthesis_grid[0]
+        # values gathered from the synthesis grid: grid points, both ends and
+        # synthesized geometry; values interpolated one by one: table nodes,
+        # points next to grid points, within the range slack and random values
+        distinct = np.concatenate([rng.choice(g_fine, 16), g_fine[[0, -1]],
+                                   tab.synthesis_lookup[1][:8], tab.g,
+                                   np.nextafter(g_fine[1:5], 1.0), np.nextafter(g_fine[1:5], 0.0),
+                                   [lo, hi, lo - 5e-13, hi + 5e-13], rng.uniform(lo, hi, 16)])
+        # each repeated three times and shuffled into a 2-D query
+        query = rng.permutation(np.repeat(distinct, 3)).reshape(3, -1)
+        for gamma, got in zip((tab.gamma_xx, tab.gamma_yy), tab.gamma_at(query)):
+            mag, phase = np.abs(gamma), np.unwrap(np.angle(gamma))
+            one_by_one = [np.interp(g, tab.g, mag) * np.exp(1j * np.interp(g, tab.g, phase))
+                          for g in np.clip(query.reshape(-1), lo, hi)]
+            assert np.array_equal(got, np.reshape(one_by_one, query.shape))
+    gxx, gyy = table.gamma_at(table.synthesis_grid[0][3])
+    assert gxx.shape == gyy.shape == ()
+    assert gyy == table.synthesis_grid[2][3]
 
 
 # --- ideal phases ---------------------------------------------------------
@@ -234,6 +252,97 @@ def test_nearest_candidate_matches_brute_force(cand, needs):
     np.testing.assert_array_equal(idx, brute)
 
 
+def step_ulps(x, n):
+    """x moved by n units in the last place (toward +inf for n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, math.copysign(math.inf, n))
+    return float(x)
+
+
+_PHASE = st.floats(-math.pi, math.pi, exclude_min=True)
+_NEAR_PI = (st.floats(math.pi - 0.3, math.pi)
+            | st.floats(-math.pi, -math.pi + 0.3, exclude_min=True))
+
+
+@st.composite
+def candidate_phases(draw):
+    """Candidate phases in (-pi, pi], as np.angle gives them for 1 - gamma: spread
+    out, straddling +-pi, one only, with near-duplicates a few ulps or under the
+    bin margin apart, or all of them in one such cluster."""
+    kind = draw(st.sampled_from(["spread", "straddle", "single", "near_duplicates",
+                                 "cluster"]))
+    if kind == "single":
+        return [draw(_PHASE)]
+    if kind == "cluster":
+        base = draw(_PHASE)
+        cand = [base] + draw(st.lists(st.integers(-4, 4).map(lambda n: step_ulps(base, n))
+                                      | st.floats(-1e-9, 1e-9).map(lambda d: base + d),
+                                      min_size=1, max_size=5))
+        return [c for c in cand if -math.pi < c <= math.pi]
+    cand = draw(st.lists(_NEAR_PI if kind == "straddle" else _PHASE,
+                         min_size=1, max_size=30))
+    if kind == "near_duplicates":
+        for c in list(cand):
+            cand.append(step_ulps(c, draw(st.integers(-4, 4))))
+            cand.append(c + draw(st.floats(-2e-9, 2e-9)))
+        cand = [c for c in cand if -math.pi < c <= math.pi]
+    return cand
+
+
+def bin_lookup(cand):
+    """(phases, geometry, winners): the lookup over ascending geometry and its bin index."""
+    phases, geometry = _candidate_lookup(np.array(cand), 1e-3 + 1e-6 * np.arange(len(cand)))
+    return phases, geometry, _phase_bin_index(phases, geometry)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cand=candidate_phases(), data=st.data())
+def test_binned_lookup_equals_nearest_candidate(cand, data):
+    phases, geometry, winners = bin_lookup(cand)
+    width = 2.0 * math.pi / _PHASE_BINS
+    wrap_mid = (phases[-1] + phases[0] + 2.0 * math.pi) / 2.0
+    mids = sk.wrap_phase(np.append((phases[:-1] + phases[1:]) / 2.0, wrap_mid))
+    special = st.one_of(
+        st.integers(0, _PHASE_BINS).map(lambda b: -math.pi + b * width),   # bin edges
+        st.sampled_from(list(mids)),                                       # midpoints
+        st.sampled_from([math.pi, -math.pi]))
+    near = st.tuples(special, st.integers(-4, 4), st.integers(-64, 64)).map(
+        lambda t: step_ulps(t[0], t[1]) + 2.0 * math.pi * t[2])   # unwrapped by k turns
+    anywhere = st.floats(-2.0 * math.pi - 400.0, 2.0 * math.pi + 400.0)
+    need = np.array(data.draw(st.lists(near | anywhere, min_size=1, max_size=40)))
+    direct = _nearest_candidate(phases, geometry, sk.wrap_phase(need))
+    assert np.array_equal(_binned_candidate(phases, geometry, winners, need), direct)
+
+
+# one candidate, wrap-around midpoints below and above pi, and one at the far end
+@pytest.mark.parametrize("cand", [[0.25], [-1.0, 0.5], [-0.5, 1.0], [-3.0, 3.0, 0.1]])
+def test_bin_index_holds_the_nearest_candidate(cand):
+    phases, geometry, winners = bin_lookup(cand)
+    centres = -math.pi + (np.arange(_PHASE_BINS) + 0.5) * (2.0 * math.pi / _PHASE_BINS)
+    dist = np.abs(sk.wrap_phase(phases[None, :] - centres[:, None]))
+    pure = ~np.isnan(winners)
+    assert np.array_equal(winners[pure], geometry[np.argmin(dist, axis=1)][pure])
+    # each midpoint (the antipode of a lone candidate) mixes the bin it lies in,
+    # or two when it lies within the margin of their shared edge, and no other
+    assert phases.size <= np.isnan(winners).sum() <= 2 * phases.size
+
+
+def test_bin_index_of_the_synthetic_table_mixes_only_bins_at_midpoints(table):
+    phases, _ = table.synthesis_lookup
+    assert phases.size <= np.isnan(table.phase_bins).sum() <= 2 * phases.size
+
+
+@pytest.mark.parametrize("step", [1, 7])
+def test_synthesis_gathers_what_the_direct_lookup_picks(baseline, step):
+    table = subsampled_table(step)
+    grid = sk.discretize(1.0, baseline.pitch)
+    targets = sk.ideal_current_phases(grid, baseline)
+    _, h = sk.incident_fields(baseline, *grid.cell_grid())
+    direct = _nearest_candidate(*table.synthesis_lookup,
+                                sk.wrap_phase(targets - np.angle(h[0])))
+    assert np.array_equal(sk.synthesize_layout(grid, table, targets, baseline).values, direct)
+
+
 def test_synthesis_lookup_is_sorted_distinct_and_read_only(table):
     phases, geometry = table.synthesis_lookup
     assert np.all(np.diff(phases) > 0)
@@ -241,11 +350,21 @@ def test_synthesis_lookup_is_sorted_distinct_and_read_only(table):
     lo, hi = table.g_range
     assert np.all((geometry >= lo) & (geometry <= hi))
     np.testing.assert_array_equal(np.angle(1.0 - table.gamma_at(geometry)[1]), phases)
-    for array in (phases, geometry):
+    g_fine, gxx, gyy = table.synthesis_grid
+    assert g_fine.shape == gxx.shape == gyy.shape
+    assert np.all(np.diff(g_fine) > 0) and g_fine[0] == lo
+    assert table.phase_bins.shape == (_PHASE_BINS,)
+    for array in (phases, geometry, g_fine, gxx, gyy, table.phase_bins):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert table.synthesis_lookup is table.synthesis_lookup
+    assert table.synthesis_grid is table.synthesis_grid
+    assert table.phase_bins is table.phase_bins
+    # gamma_at hands out its own arrays, which leave the cache as it was
+    got_xx, _ = table.gamma_at(g_fine[:3])
+    got_xx[:] = 0.0
+    assert np.all(gxx[:3] != 0.0)
 
 
 def test_synthesis_on_single_candidate_table(baseline):
@@ -280,6 +399,11 @@ def test_synthesis_exact_targets_give_constant_layout(baseline, table):
     assert phi <= 1e-18
     with pytest.raises(sk.LayoutError, match="do not match the grid"):
         sk.synthesize_layout(grid, table, targets[:-1], baseline)
+    for bad in (math.nan, math.inf):
+        broken = targets.copy()
+        broken[3, 4] = bad
+        with pytest.raises(sk.LayoutError, match="target phases must be finite"):
+            sk.synthesize_layout(grid, table, broken, baseline)
     with pytest.raises(sk.LayoutError, match="do not match the grid"):
         sk.synthesis_mismatch(grid, currents, targets[:-1])
     with pytest.raises(sk.LayoutError, match="do not match the grid"):

@@ -155,6 +155,31 @@ def test_fresnel_min_distance_values():
     assert sk.fresnel_min_distance(2.9, LAMBDA) == pytest.approx(48.869, abs=1e-3)
 
 
+def test_fresnel_bounds_past_float_range():
+    # side_l^3 (at 1e103 m) or the product under the root (at 1e102 m) leaves
+    # float range, the bound does not; at 1e250 m it does
+    for side in (1e102, 1e103):
+        log_bound = math.log(0.62) + (math.log(2.0 * math.sqrt(2.0) / LAMBDA)
+                                      + 3.0 * math.log(side)) / 2.0
+        assert sk.fresnel_min_distance(side, LAMBDA) == pytest.approx(math.exp(log_bound),
+                                                                      rel=1e-12)
+    assert sk.fresnel_min_distance(1e250, LAMBDA) == math.inf
+    for side in (0.8, 1e50, 1e100):
+        assert sk.fresnel_min_distance(side, LAMBDA) == max(
+            10.0 * (side * math.sqrt(2.0)),
+            0.62 * math.sqrt(2.0 * side**3 * math.sqrt(2.0) / LAMBDA), 10.0 * LAMBDA)
+    # l_fresnel keeps its expression, bit for bit, wherever (r / 0.62)^2 is finite
+    for r_tx, r_rx in ((15.0, 15.0), (15.0, 1e100), (1e-150, 1e150)):
+        scenario = make_scenario(r_tx=r_tx, r_rx=r_rx)
+        assert sk.l_fresnel(scenario) == min(
+            r_rx / (10.0 * math.sqrt(2.0)),
+            (LAMBDA / (2.0 * math.sqrt(2.0)) * (r_rx / 0.62) ** 2) ** (1.0 / 3.0))
+    # past it the cube root is taken factor by factor
+    far = sk.l_fresnel(make_scenario(r_tx=1e-155, r_rx=1e155))
+    log_far = (math.log(LAMBDA / (2.0 * math.sqrt(2.0))) + 2.0 * math.log(1e155 / 0.62)) / 3.0
+    assert far == pytest.approx(math.exp(log_far), rel=1e-12)
+
+
 def test_fresnel_modes():
     grid = sk.discretize(8 * DELTA, DELTA)
     currents = random_currents(grid)

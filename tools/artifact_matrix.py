@@ -5,9 +5,12 @@ Usage: python tools/artifact_matrix.py SRC OUT
 SRC is the directory that holds the skinlink package (a checkout's src/).
 Every command runs as `python -m skinlink.cli` with PYTHONPATH=SRC, in its
 own directory OUT/<scenario>/<command>/, which receives the command's
-artifacts plus stdout.txt, stderr.txt and exit_code.txt. The inputs (three
-scenario files and a 22-row reflection table) are written under OUT as well
-and passed by relative path, so no absolute path reaches an output. Two OUT
+artifacts plus stdout.txt, stderr.txt and exit_code.txt. The inputs are
+written under OUT as well and passed by relative path, so no absolute path
+reaches an output: three scenario files and three reflection tables, a
+22-row subsample of the synthetic table, a 2-row table whose reflection
+phases straddle +-pi (its candidates' wrap-around midpoint lies at +-pi) and
+a table narrower than the 1 um synthesis step (a single candidate). Two OUT
 directories made from two checkouts hold the same bytes exactly when
 `diff -r OUT1 OUT2` prints nothing.
 """
@@ -32,6 +35,15 @@ SCENARIOS = {
 }
 
 TABLE = "../../table.csv"     # relative to a command's directory
+WRAP_TABLE = "../../wrap_table.csv"
+NARROW_TABLE = "../../narrow_table.csv"
+TABLE_HEADER = "g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy"
+FIXED_TABLES = {
+    # gamma = -0.8 +- 0.6j: unit magnitude, phase pi - 0.64 to -pi + 0.64
+    "wrap_table.csv": ["1e-3,-0.8,0.6,-0.8,0.6", "2e-3,-0.8,-0.6,-0.8,-0.6"],
+    # a 0.1 um span: the synthesis grid holds its first geometry only
+    "narrow_table.csv": ["1e-3,0,1,0,1", "1.0001e-3,0,-1,0,-1"],
+}
 
 COMMANDS = {
     "thresholds": ["thresholds"],
@@ -47,6 +59,10 @@ COMMANDS = {
     "sweep_sub_cell_row": ["sweep", "--values", "0.001,0.1,0.2,0.4"],
     "sweep_two_rows": ["sweep", "--values", "0.2,0.6"],
     "cuts": ["cuts", "--side-l", "0.5", "--points", "21"],
+    "design_0.3_wrap_table": ["design", "--side-l", "0.3", "--table", WRAP_TABLE],
+    "sweep_side_wrap_table": ["sweep", "--values", "0.1:0.5:5", "--table", WRAP_TABLE],
+    "design_0.3_narrow_table": ["design", "--side-l", "0.3", "--table", NARROW_TABLE],
+    "sweep_side_narrow_table": ["sweep", "--values", "0.1:0.5:5", "--table", NARROW_TABLE],
 }
 
 
@@ -55,7 +71,7 @@ def write_table(path: Path) -> None:
     from skinlink import synthetic_table
 
     full = synthetic_table()
-    lines = ["g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy"]
+    lines = [TABLE_HEADER]
     for g, gxx, gyy in zip(full.g[::3], full.gamma_xx[::3], full.gamma_yy[::3]):
         lines.append(",".join(repr(float(v)) for v in (g, gxx.real, gxx.imag,
                                                        gyy.real, gyy.imag)))
@@ -76,6 +92,8 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, str(src))
     write_table(out / "table.csv")
+    for name, rows in FIXED_TABLES.items():
+        (out / name).write_text("\n".join([TABLE_HEADER, *rows]) + "\n", encoding="ascii")
     env = dict(os.environ, PYTHONPATH=str(src))
     for scenario, keys in SCENARIOS.items():
         (out / scenario).mkdir()

@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
 from .errors import ConfigError, FresnelValidityError, SkinlinkError
-from .field_engine import FieldCut, check_fresnel, field_cut_map, receiver_tpa
+from .field_engine import FieldCut, check_fresnel, field_cut_map, format_length, receiver_tpa
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario
 
@@ -145,8 +145,8 @@ def cmd_thresholds(args) -> int:
         print("warning: near-grazing incidence, the threshold side grows without bound",
               file=sys.stderr)
     interval = analysis.optimality_interval(scenario)
-    print(f"L_TH = {interval.l_th:.6f} m")
-    print(f"L_FR = {interval.l_fr:.6f} m")
+    print(f"L_TH = {format_length(interval.l_th, 6)} m")
+    print(f"L_FR = {format_length(interval.l_fr, 6)} m")
     print(f"interval {'nonempty' if interval.nonempty else 'empty'}")
     _write_markers(_outdir(args) / "markers.json", interval)
     return EXIT_OK if interval.nonempty else EXIT_EMPTY_INTERVAL

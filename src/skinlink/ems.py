@@ -222,12 +222,14 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     barycenter carrier phase, which the barycenter sample gives. Averaging the
     raw field over the cell instead would scale the currents by the average of
     the intra-cell phase ramp and count that phase twice.
-    With n = +z the 1/2 and 2 cancel: je_x = (gamma_xx - 1) H_y, je_y = (1 - gamma_yy) H_x,
-    jm_x = -(1 + gamma_yy) E_y, jm_y = (1 + gamma_xx) E_x, gamma broadcast over the cells.
+    With n = +z the 1/2 and 2 cancel: je_y = (1 - gamma_yy) H_x,
+    jm_x = -(1 + gamma_yy) E_y, jm_y = (1 + gamma_xx) E_x, gamma broadcast over the
+    cells. je_x = (gamma_xx - 1) H_y is zero by construction: the incident H of a
+    y-polarized source has no y component, so incident_fields does not return it.
     """
-    e, h = incident_fields(scenario, *grid.cell_grid())
-    return SurfaceCurrents(je_x=(gamma_xx - 1.0) * h[1], je_y=(1.0 - gamma_yy) * h[0],
-                           jm_x=-(1.0 + gamma_yy) * e[1], jm_y=(1.0 + gamma_xx) * e[0],
+    e_x, e_y, h_x = incident_fields(scenario, *grid.cell_grid())
+    return SurfaceCurrents(je_x=np.zeros(h_x.shape, complex), je_y=(1.0 - gamma_yy) * h_x,
+                           jm_x=-(1.0 + gamma_yy) * e_y, jm_y=(1.0 + gamma_xx) * e_x,
                            grid=grid)
 
 
@@ -330,8 +332,8 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
         raise LayoutError("target phases do not match the grid")
     if not np.all(np.isfinite(targets)):
         raise LayoutError("target phases must be finite")
-    _, h_inc = incident_fields(scenario, *grid.cell_grid())
-    need = targets - np.angle(h_inc[0])
+    h_x = incident_fields(scenario, *grid.cell_grid())[2]
+    need = targets - np.angle(h_x)
     return DescriptorVector(values=_binned_candidate(*table.synthesis_lookup,
                                                      table.phase_bins, need))
 

@@ -14,10 +14,10 @@ vanishes at phi = 0, which covers every receiver_tpa call and the
 longitudinal cut; there the sum is one outer product. A batch is contracted
 with matrix products, a single point with numpy's pairwise sums, so that one
 point never wakes the BLAS threads. Only the current components with a
-nonzero cell are contracted: the incident H has an exact zero y component, so
-every screen's je_x = (gamma_xx - 1) H_y is zero, and a conducting screen
-(gamma = -1) carries no magnetic current either. beta keeps the unsplit path
-term that synthesis uses.
+nonzero cell are contracted: every screen's je_x is zero by construction
+(reflection_currents; a y-polarized source has no incident H_y), and a
+conducting screen (gamma = -1) carries no magnetic current either. beta keeps
+the unsplit path term that synthesis uses.
 """
 
 from __future__ import annotations
@@ -78,11 +78,6 @@ class ObservationPoint:
         if not math.isfinite(self.phi):
             raise GeometryError("observation azimuth must be finite")
 
-    @property
-    def cartesian(self) -> np.ndarray:
-        s, c = math.sin(self.theta), math.cos(self.theta)
-        return self.r * np.array([s * math.cos(self.phi), s * math.sin(self.phi), c])
-
 
 @dataclass(frozen=True)
 class ScatteredField:
@@ -90,10 +85,6 @@ class ScatteredField:
 
     e_theta: complex
     e_phi: complex
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(abs(self.e_theta), abs(self.e_phi))
 
 
 def sinc(x):
@@ -147,15 +138,24 @@ def l_fresnel(scenario) -> float:
     return min(r / (_FRESNEL_DIAGONALS * math.sqrt(2.0)), radiating)
 
 
+def format_length(value: float, decimals: int) -> str:
+    """A length [m] as fixed-point text with the given decimals below 1e6 m and in
+    exponent form with as many decimals at or above it, which keeps huge links short."""
+    return f"{value:.{decimals}{'f' if abs(value) < 1e6 else 'e'}}"
+
+
 def check_fresnel(side_l: float, wavelength: float, r: float, mode: str) -> None:
-    """In mode "strict", raise FresnelValidityError if r is inside the Fresnel bound."""
+    """In mode "strict", raise FresnelValidityError if r is inside the Fresnel bound;
+    mode "off" returns without computing the bound."""
     if mode not in ("strict", "off"):
         raise ConfigError(f"unknown Fresnel mode {mode!r}")
+    if mode == "off":
+        return
     r_min = fresnel_min_distance(side_l, wavelength)
-    if mode == "strict" and not r >= r_min:
+    if not r >= r_min:
         raise FresnelValidityError(
-            f"observation at r = {r:.3f} m is inside the Fresnel bound "
-            f"{r_min:.3f} m for L = {side_l:.3f} m")
+            f"observation at r = {format_length(r, 3)} m is inside the Fresnel bound "
+            f"{format_length(r_min, 3)} m for L = {format_length(side_l, 3)} m")
 
 
 def bracket_weights(theta, phi):
@@ -206,8 +206,9 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     of rank 1 or 2.
 
     Only the components with a nonzero cell are contracted (je_y, jm_x and
-    jm_y of a skin; je_y alone of a conducting screen). Skipping the others
-    is exact: their contractions would be signed zeros, since the phasors are
+    jm_y of a skin; je_y alone of a conducting screen; je_x, which
+    reflection_currents builds as zeros, of neither). Skipping the others is
+    exact: their contractions would be signed zeros, since the phasors are
     finite, and their column sums start at +0, which +0 + (+-0) = +0 keeps.
 
     The (N, 4) current-column sums are projected onto each point's

@@ -100,16 +100,18 @@ class LinkScenario:
 
 
 def incident_fields(scenario: LinkScenario, x, y):
-    """Incident E and H of the gain-scaled spherical-wave source at panel points.
+    """Tangential incident E and H of the gain-scaled spherical-wave source at panel points.
 
     x, y are broadcastable arrays of in-plane coordinates [m] (z = 0). Returns
-    (e, h): complex arrays of shape (3,) + broadcast shape. The polarization is
+    (e_x, e_y, h_x): complex arrays of the broadcast shape. The polarization is
     the y axis minus its projection on k = p/d, with p the panel point minus
     the transmitter and d = |p|. In closed form, with rho = sqrt(p_x^2 + p_z^2)
     and u = amp*exp(-j*k0*d)/(d*rho), e = u*(-p_y*p_x, rho^2, -p_y*p_z)/d and
-    h = k x e/eta = u*(-p_z, 0, p_x)/eta: H is perpendicular to y (h[1] is
-    exactly 0) and |e| = eta*|h|. rho = 0 (the transmitter, or a wave along y)
-    leaves the polarization undefined.
+    h = k x e/eta = u*(-p_z, 0, p_x)/eta, so |e| = eta*|h|. The sheet model
+    (J_e = 2 n x H_av, J_m = 2 n x E_av with n = +z) reads only the tangential
+    components, and H_y is identically 0, so e_x, e_y and h_x are all it
+    needs. rho = 0 (the transmitter, or a wave along y) leaves the
+    polarization undefined.
     """
     tx = scenario.tx_position
     px = np.asarray(x, dtype=float) - tx[0]
@@ -123,17 +125,7 @@ def incident_fields(scenario: LinkScenario, x, y):
     amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
     u = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / (d * rho)
     u_d = u / d
-    # each component is written into its slot, not stacked from temporaries;
-    # e[i, ...] stays an array view where e[i] of a 0-d input is a scalar
-    e = np.empty((3,) + d.shape, dtype=complex)
-    h = np.empty_like(e)
-    np.multiply(u_d, -py * px, out=e[0, ...])
-    np.multiply(u_d, rho * rho, out=e[1, ...])
-    np.multiply(u_d, -py * pz, out=e[2, ...])
-    np.multiply(u, -pz / ETA0, out=h[0, ...])
-    h[1, ...] = 0.0
-    np.multiply(u, px / ETA0, out=h[2, ...])
-    return e, h
+    return u_d * (-py * px), u_d * (rho * rho), u * (-pz / ETA0)
 
 
 _SCENARIO_KEYS = {

@@ -1,5 +1,6 @@
 """Scenario and table-file builders shared by the test modules and their fixtures,
-and the sub-patch quadrature oracle that cross-checks the closed-form cell sum."""
+the full-vector incident-field oracle that cross-checks incident_fields, and the
+sub-patch quadrature oracle that cross-checks the closed-form cell sum."""
 
 import math
 
@@ -33,6 +34,27 @@ def table_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def spherical_wave_fields(scenario, x, y):
+    """Full incident E and H vectors of the y-polarized spherical-wave source.
+
+    An independent transcription of the source that incident_fields models,
+    built from the unit propagation vector k = p/|p| (p the panel point at
+    z = 0 minus the transmitter) and the y axis: E has the amplitude
+    sqrt(eta g_tx p_tx / 2 pi) / d, the phase exp(-j k0 d) and the direction
+    of y with its projection on k removed, and H = k x E / eta. Returns
+    (e, h), complex arrays of shape broadcast(x, y) + (3,).
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    p = np.stack([x, y, np.zeros_like(x)], axis=-1) - scenario.tx_position
+    d = np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+    k_hat = p / d
+    pol = np.array([0.0, 1.0, 0.0]) - k_hat[..., 1:2] * k_hat
+    pol = pol / np.sqrt(np.sum(pol * pol, axis=-1, keepdims=True))
+    amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
+    e = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / d * pol
+    return e, np.cross(k_hat, e) / ETA0
+
+
 def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
                       wavelength: float, subdivisions: int = 8) -> ScatteredField:
     """Independent field evaluation by sub-patch summation.
@@ -62,7 +84,9 @@ def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
     jm_x = (currents.jm_x[:, :, None] * rep).reshape(-1)
     jm_y = (currents.jm_y[:, :, None] * rep).reshape(-1)
 
-    robs = obs.cartesian
+    s0, c0 = math.sin(obs.theta), math.cos(obs.theta)
+    sp0, cp0 = math.sin(obs.phi), math.cos(obs.phi)
+    robs = obs.r * np.array([s0 * cp0, s0 * sp0, c0])
     dx = robs[0] - xs
     dy = robs[1] - ys
     dz = robs[2]
@@ -85,8 +109,6 @@ def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
     e_cart = (pre * bth) * th_hat + (pre * bph) * ph_hat
     e_total = e_cart.sum(axis=1)
 
-    s0, c0 = math.sin(obs.theta), math.cos(obs.theta)
-    sp0, cp0 = math.sin(obs.phi), math.cos(obs.phi)
     th0 = np.array([c0 * cp0, c0 * sp0, -s0])
     ph0 = np.array([-sp0, cp0, 0.0])
     return ScatteredField(e_theta=complex(e_total @ th0), e_phi=complex(e_total @ ph0))

@@ -321,8 +321,8 @@ def test_design_single_cell_beyond_fresnel_cube_exit(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     warning, error = capsys.readouterr().err.splitlines()
-    assert warning.startswith("warning: observation at r = 15.000 m is inside the "
-                              "Fresnel bound 3129217258693")
+    assert warning == ("warning: observation at r = 15.000 m is inside the "
+                       "Fresnel bound 3.129e+155 m for L = 1.000e+103 m")
     assert error == "error: ideal-skin bound of a 1e+103 m panel is out of float range"
 
 
@@ -332,7 +332,10 @@ def test_thresholds_fresnel_side_past_float_square(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["thresholds", "--scenario", cfg, "--out", str(out)])
     assert code == 0
-    assert capsys.readouterr().err == ""
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    # lengths of 1e6 m and more print in exponent form
+    assert printed.out.splitlines()[:2] == ["L_TH = 0.000000 m", "L_FR = 4.674224e+102 m"]
     l_fr = json.loads((out / "markers.json").read_text())["l_fr_m"]
     wavelength = sk.load_scenario(cfg).wavelength
     log_l_fr = (math.log(wavelength / (2.0 * math.sqrt(2.0)))

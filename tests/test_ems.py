@@ -11,7 +11,7 @@ import skinlink as sk
 from skinlink.ems import (_PHASE_BINS, _binned_candidate, _candidate_lookup,
                           _nearest_candidate, _phase_bin_index)
 
-from helpers import make_scenario, subsampled_table, table_csv
+from helpers import make_scenario, spherical_wave_fields, subsampled_table, table_csv
 
 
 # --- phase wrapping -------------------------------------------------------
@@ -160,11 +160,12 @@ def test_pec_gamma_reproduces_screen_currents(baseline):
 
 
 def test_y_polarized_wave_drives_no_je_x(baseline, table):
-    # H of a y-polarized wave is perpendicular to y, exactly, at every cell, so
-    # neither the screen nor the skin carries an x-directed electric current
+    # H of a y-polarized wave is perpendicular to y at every cell (the full-vector
+    # oracle's H_y is rounding), so neither the screen nor the skin carries an
+    # x-directed electric current, and reflection_currents builds it as exact zeros
     grid = sk.discretize(1.0, baseline.pitch)
-    _, h = sk.incident_fields(baseline, *grid.cell_grid())
-    assert np.all(h[1] == 0.0)
+    _, h = spherical_wave_fields(baseline, *grid.cell_grid())
+    assert np.all(np.abs(h[..., 1]) <= 1e-15 * np.linalg.norm(h, axis=-1))
     panel, _ = sk.design_panel(baseline, 1.0, table)
     for currents in (sk.pcs_currents(sk.PcsPanel(grid=grid), baseline),
                      sk.gstc_currents(panel, baseline)):
@@ -337,9 +338,9 @@ def test_synthesis_gathers_what_the_direct_lookup_picks(baseline, step):
     table = subsampled_table(step)
     grid = sk.discretize(1.0, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
-    _, h = sk.incident_fields(baseline, *grid.cell_grid())
+    h_x = sk.incident_fields(baseline, *grid.cell_grid())[2]
     direct = _nearest_candidate(*table.synthesis_lookup,
-                                sk.wrap_phase(targets - np.angle(h[0])))
+                                sk.wrap_phase(targets - np.angle(h_x)))
     assert np.array_equal(sk.synthesize_layout(grid, table, targets, baseline).values, direct)
 
 
@@ -435,8 +436,8 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
     phi = sk.synthesis_mismatch(grid, layout_currents(grid, table, d, baseline), targets)
 
     cand, _ = table.synthesis_lookup
-    _, h = sk.incident_fields(baseline, *grid.cell_grid())
-    need = sk.wrap_phase(targets - np.angle(h[0]))
+    h_x = sk.incident_fields(baseline, *grid.cell_grid())[2]
+    need = sk.wrap_phase(targets - np.angle(h_x))
     brute = np.abs(sk.wrap_phase(cand[None, None, :] - need[:, :, None]))
     per_cell_min = brute.min(axis=2) ** 2
     assert phi == pytest.approx(per_cell_min.sum(), rel=1e-12)
@@ -531,6 +532,11 @@ def test_propagation_route_matches_coherent_closed_form(baseline):
     assert field.e_theta == 0.0
 
 
+def magnitude(field) -> float:
+    """|E| of a scattered field from its theta-hat and phi-hat components."""
+    return math.hypot(abs(field.e_theta), abs(field.e_phi))
+
+
 def test_phase_flip_strictly_reduces_focus(baseline, table):
     grid = sk.discretize(16 * baseline.pitch, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
@@ -539,7 +545,7 @@ def test_phase_flip_strictly_reduces_focus(baseline, table):
     currents = sk.gstc_currents(panel, baseline)
     obs = sk.ObservationPoint(r=baseline.r_rx, theta=baseline.theta0, phi=0.0)
     base = sk.scattered_field(currents, obs, baseline.wavelength, fresnel="off")
-    base_mag = base.magnitude
+    base_mag = magnitude(base)
     je_x, je_y = currents.je_x.copy(), currents.je_y.copy()
     jm_x, jm_y = currents.jm_x.copy(), currents.jm_y.copy()
     for p in range(grid.p_count):
@@ -548,8 +554,8 @@ def test_phase_flip_strictly_reduces_focus(baseline, table):
                 arr[p, q] *= -1.0
             flipped = sk.SurfaceCurrents(je_x=je_x, je_y=je_y, jm_x=jm_x,
                                          jm_y=jm_y, grid=grid)
-            mag = sk.scattered_field(flipped, obs, baseline.wavelength,
-                                     fresnel="off").magnitude
+            mag = magnitude(sk.scattered_field(flipped, obs, baseline.wavelength,
+                                               fresnel="off"))
             assert mag < base_mag
             for arr in (je_x, je_y, jm_x, jm_y):
                 arr[p, q] *= -1.0
@@ -560,8 +566,8 @@ def test_phase_flip_sampled_on_larger_grid(baseline, table):
     panel, _ = sk.design_panel(baseline, grid.side_l, table)
     currents = sk.gstc_currents(panel, baseline)
     obs = sk.ObservationPoint(r=baseline.r_rx, theta=baseline.theta0, phi=0.0)
-    base_mag = sk.scattered_field(currents, obs, baseline.wavelength,
-                                  fresnel="off").magnitude
+    base_mag = magnitude(sk.scattered_field(currents, obs, baseline.wavelength,
+                                            fresnel="off"))
     rng = np.random.default_rng(12)
     for _ in range(40):
         p = int(rng.integers(0, grid.p_count))
@@ -572,8 +578,8 @@ def test_phase_flip_sampled_on_larger_grid(baseline, table):
             arr[p, q] *= -1.0
         flipped = sk.SurfaceCurrents(je_x=je_x, je_y=je_y, jm_x=jm_x, jm_y=jm_y,
                                      grid=grid)
-        mag = sk.scattered_field(flipped, obs, baseline.wavelength,
-                                 fresnel="off").magnitude
+        mag = magnitude(sk.scattered_field(flipped, obs, baseline.wavelength,
+                                           fresnel="off"))
         assert mag < base_mag
 
 

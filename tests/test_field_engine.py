@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
+from skinlink.field_engine import format_length
 
 from helpers import make_scenario, quadrature_oracle
 
@@ -153,6 +154,25 @@ def test_fresnel_min_distance_values():
                               rel=1e-14)
     assert sk.fresnel_min_distance(1e-6, LAMBDA) == pytest.approx(10.0 * LAMBDA, rel=1e-12)
     assert sk.fresnel_min_distance(2.9, LAMBDA) == pytest.approx(48.869, abs=1e-3)
+
+
+def test_fresnel_check_off_skips_the_bound():
+    # mode "off" returns before the bound, which rejects a zero side
+    with pytest.raises(sk.DomainError):
+        sk.fresnel_min_distance(0.0, LAMBDA)
+    assert sk.check_fresnel(0.0, LAMBDA, 15.0, "off") is None
+    with pytest.raises(sk.DomainError):
+        sk.check_fresnel(0.0, LAMBDA, 15.0, "strict")
+    with pytest.raises(sk.ConfigError, match="unknown Fresnel mode"):
+        sk.check_fresnel(0.0, LAMBDA, 15.0, "loose")
+
+
+def test_format_length_switches_to_exponent_form_at_1e6_m():
+    assert format_length(0.310082, 6) == "0.310082"
+    assert format_length(999999.99949, 3) == "999999.999"
+    assert format_length(1e6, 3) == "1.000e+06"
+    assert format_length(4.674224011907389e102, 6) == "4.674224e+102"
+    assert format_length(math.inf, 3) == "inf"
 
 
 def test_fresnel_bounds_past_float_range():
@@ -301,6 +321,12 @@ def test_far_field_linear_phase_reduction():
     assert abs(full_mag - lin_mag) < 1e-6 * full_mag
 
 
+def cartesian(obs):
+    """Cartesian position [m] of an observation point."""
+    s, c = math.sin(obs.theta), math.cos(obs.theta)
+    return obs.r * np.array([s * math.cos(obs.phi), s * math.sin(obs.phi), c])
+
+
 def spherical(pts):
     """(r, theta, phi) rows of Cartesian points, derived as the batch kernel derives them."""
     return np.stack([np.linalg.norm(pts, axis=1),
@@ -337,7 +363,7 @@ def test_kernel_matches_dense_exponentials(count, cells, points, seed, zeroed):
         for name, zero in zip(_COMPONENTS, zeroed) if zero})
     observations = [sk.ObservationPoint(r=m * grid.side_l, theta=theta, phi=phi)
                     for m, theta, phi in points[:count]]
-    pts = np.array([obs.cartesian for obs in observations]).reshape(-1, 3)
+    pts = np.array([cartesian(obs) for obs in observations]).reshape(-1, 3)
     e_theta, e_phi = sk.scattered_field_at_points(currents, pts, LAMBDA)
     assert e_theta.shape == e_phi.shape == (count,)
     derived = [sk.ObservationPoint(*map(float, row)) for row in spherical(pts)]

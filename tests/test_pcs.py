@@ -7,7 +7,7 @@ import pytest
 
 import skinlink as sk
 
-from helpers import make_scenario
+from helpers import make_scenario, spherical_wave_fields
 
 
 def test_magnetic_current_vanishes(baseline):
@@ -21,9 +21,9 @@ def test_normal_incidence_current_magnitude():
     scenario = make_scenario(theta0_deg=0.0)
     grid = sk.discretize(5 * scenario.pitch, scenario.pitch)
     currents = sk.pcs_currents(sk.PcsPanel(grid=grid), scenario)
-    e, _ = sk.incident_fields(scenario, *grid.cell_grid())
+    e, _ = spherical_wave_fields(scenario, *grid.cell_grid())
     je_mag = np.sqrt(np.abs(currents.je_x) ** 2 + np.abs(currents.je_y) ** 2)
-    expected = 2.0 * np.linalg.norm(e, axis=0) / sk.ETA0
+    expected = 2.0 * np.linalg.norm(e, axis=-1) / sk.ETA0
     # exact on boresight (center cell), within the wavefront tilt elsewhere
     center = grid.p_count // 2
     assert je_mag[center, center] == pytest.approx(expected[center, center], rel=1e-12)

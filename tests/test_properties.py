@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import skinlink as sk
 
-from helpers import make_scenario, quadrature_oracle
+from helpers import make_scenario, quadrature_oracle, spherical_wave_fields
 
 TABLE = sk.synthetic_table()
 PEC = sk.ReflectionLookupTable(g=np.array([1.0e-3, 2.0e-3]),
@@ -39,6 +39,31 @@ def test_pec_skin_equals_screen_through_receiver_tpa(f, r_tx, r_rx, theta0_deg, 
     panel, _ = sk.design_panel(scenario, side, PEC)
     assert math.isclose(sk.receiver_tpa(sk.gstc_currents(panel, scenario), scenario), a_pcs,
                         rel_tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), **geometry)
+def test_sheet_currents_map_the_oracle_tangential_fields(f, r_tx, r_rx, theta0_deg, cells,
+                                                         seed):
+    """For a per-cell diagonal gamma with gamma_xx != gamma_yy, reflection_currents
+    is the sheet mapping of the full-vector oracle's tangential fields, and je_x is
+    exactly 0."""
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    grid = sk.discretize(cells * scenario.pitch, scenario.pitch)
+    rng = np.random.default_rng(seed)
+    shape = (grid.p_count, grid.p_count)
+    gamma_xx, gamma_yy = (rng.uniform(0.0, 1.0, shape)
+                          * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
+                          for _ in range(2))
+    assert np.all(gamma_xx != gamma_yy)
+    currents = sk.reflection_currents(grid, scenario, gamma_xx, gamma_yy)
+    e, h = spherical_wave_fields(scenario, *grid.cell_grid())
+    e_mag, h_mag = np.linalg.norm(e, axis=-1), np.linalg.norm(h, axis=-1)
+    assert np.all(currents.je_x == 0.0)
+    for got, factor, field, mag in ((currents.je_y, 1.0 - gamma_yy, h[..., 0], h_mag),
+                                    (currents.jm_x, -(1.0 + gamma_yy), e[..., 1], e_mag),
+                                    (currents.jm_y, 1.0 + gamma_xx, e[..., 0], e_mag)):
+        assert np.all(np.abs(got - factor * field) <= 1e-14 * np.abs(factor) * mag)
 
 
 @settings(max_examples=40, deadline=None)

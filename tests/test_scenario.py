@@ -9,7 +9,7 @@ import pytest
 import skinlink as sk
 from skinlink.scenario import _SCENARIO_KEYS
 
-from helpers import make_scenario
+from helpers import make_scenario, spherical_wave_fields
 
 
 def test_constants_consistency():
@@ -71,38 +71,60 @@ def test_frame_convention(baseline):
                                rtol=0, atol=1e-15)
 
 
+def assert_matches_oracle(scenario, x, y, fields):
+    """(e_x, e_y, h_x) equal the oracle's tangential components within 1e-14 of
+    the point's |E| (|H| for h_x); returns the oracle's (e, h)."""
+    e, h = spherical_wave_fields(scenario, x, y)
+    e_mag = np.linalg.norm(e, axis=-1)
+    h_mag = np.linalg.norm(h, axis=-1)
+    for got, want, mag in zip(fields, (e[..., 0], e[..., 1], h[..., 0]),
+                              (e_mag, e_mag, h_mag)):
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * mag)
+    return e, h
+
+
 def test_incident_center_magnitude(baseline):
-    e = sk.incident_fields(baseline, 0.0, 0.0)[0]
+    e_x, e_y, h_x = sk.incident_fields(baseline, 0.0, 0.0)
+    e, _ = assert_matches_oracle(baseline, 0.0, 0.0, (e_x, e_y, h_x))
     expected = math.sqrt(2.0 * sk.ETA0 * baseline.g_tx * baseline.p_tx
                          / (4.0 * math.pi)) / 15.0
     assert abs(np.linalg.norm(e) - expected) < 1e-12 * expected
+    assert abs(abs(e_y) - expected) < 1e-12 * expected
     # at the panel center the polarization is exactly the y axis
+    assert e_x == 0.0
     assert abs(e[0]) < 1e-15 * expected
     assert abs(e[2]) < 1e-15 * expected
+    # and H lies in the plane of incidence, tangential part cos(theta0) |H|
+    assert abs(h_x - e_y * math.cos(baseline.theta0) / sk.ETA0) < 1e-14 * abs(h_x)
 
 
 def test_incident_spherical_spreading():
-    near = sk.incident_fields(make_scenario(r_tx=15.0), 0.0, 0.0)[0]
-    far = sk.incident_fields(make_scenario(r_tx=30.0), 0.0, 0.0)[0]
-    prod_near = np.linalg.norm(near) * 15.0
-    prod_far = np.linalg.norm(far) * 30.0
+    near = sk.incident_fields(make_scenario(r_tx=15.0), 0.0, 0.0)[1]
+    far = sk.incident_fields(make_scenario(r_tx=30.0), 0.0, 0.0)[1]
+    prod_near = abs(near) * 15.0
+    prod_far = abs(far) * 30.0
     assert abs(prod_near - prod_far) < 1e-12 * prod_near
 
 
 def test_incident_equal_distance_equal_phase(baseline):
     # mirror points about the incidence plane are equidistant from the source
-    a = sk.incident_fields(baseline, 0.2, 0.3)[0]
-    b = sk.incident_fields(baseline, 0.2, -0.3)[0]
-    assert abs(np.angle(a[1]) - np.angle(b[1])) < 1e-12
+    a = sk.incident_fields(baseline, 0.2, 0.3)[1]
+    b = sk.incident_fields(baseline, 0.2, -0.3)[1]
+    assert abs(np.angle(a) - np.angle(b)) < 1e-12
 
 
 def test_incident_impedance_everywhere(baseline):
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.5, 1.5, size=(50, 2))
-    e, h = sk.incident_fields(baseline, pts[:, 0], pts[:, 1])
-    e_mag = np.linalg.norm(e, axis=0)
-    h_mag = np.linalg.norm(h, axis=0)
+    fields = sk.incident_fields(baseline, pts[:, 0], pts[:, 1])
+    e, h = assert_matches_oracle(baseline, pts[:, 0], pts[:, 1], fields)
+    e_mag = np.linalg.norm(e, axis=-1)
+    h_mag = np.linalg.norm(h, axis=-1)
     np.testing.assert_allclose(e_mag, sk.ETA0 * h_mag, rtol=1e-14)
+    # H is perpendicular to y, so the three returned components are all the
+    # tangential field there is
+    assert np.all(np.abs(h[:, 1]) <= 1e-15 * h_mag)
 
 
 @pytest.mark.parametrize("x, y, shape", [
@@ -111,27 +133,29 @@ def test_incident_impedance_everywhere(baseline):
     (np.linspace(-0.5, 0.5, 4)[:, None], np.linspace(-0.4, 0.4, 5)[None, :], (4, 5)),
 ], ids=["0-d", "1-d", "broadcast"])
 def test_incident_fields_shapes(baseline, x, y, shape):
-    e, h = sk.incident_fields(baseline, x, y)
-    assert e.shape == h.shape == (3,) + shape
-    np.testing.assert_allclose(np.linalg.norm(e, axis=0),
-                               sk.ETA0 * np.linalg.norm(h, axis=0), rtol=1e-14)
+    fields = sk.incident_fields(baseline, x, y)
+    assert len(fields) == 3
+    assert all(np.shape(f) == shape for f in fields)
+    e, h = assert_matches_oracle(baseline, x, y, fields)
+    np.testing.assert_allclose(np.linalg.norm(e, axis=-1),
+                               sk.ETA0 * np.linalg.norm(h, axis=-1), rtol=1e-14)
     # each point of a batch is the field of that point alone
     xs, ys = np.broadcast_arrays(x, y)
     for idx in np.ndindex(shape):
-        e_pt, h_pt = sk.incident_fields(baseline, xs[idx], ys[idx])
-        np.testing.assert_allclose(e[(slice(None),) + idx], e_pt, rtol=1e-14,
-                                   atol=1e-14 * np.abs(e).max())
-        np.testing.assert_allclose(h[(slice(None),) + idx], h_pt, rtol=1e-14,
-                                   atol=1e-14 * np.abs(h).max())
+        for batch, point in zip(fields, sk.incident_fields(baseline, xs[idx], ys[idx])):
+            np.testing.assert_allclose(np.asarray(batch)[idx], point, rtol=1e-14,
+                                       atol=1e-14 * np.abs(batch).max())
 
 
 def test_incident_power_density_boresight():
     for r_tx in (7.0, 15.0, 40.0):
         s = make_scenario(r_tx=r_tx)
-        e = sk.incident_fields(s, 0.0, 0.0)[0]
-        density = np.linalg.norm(e) ** 2 / (2.0 * sk.ETA0)
+        e_x, e_y, h_x = sk.incident_fields(s, 0.0, 0.0)
+        e, _ = assert_matches_oracle(s, 0.0, 0.0, (e_x, e_y, h_x))
         expected = s.g_tx * s.p_tx / (4.0 * math.pi * r_tx**2)
-        assert abs(density - expected) < 1e-10 * expected
+        for e_mag in (np.linalg.norm(e), math.hypot(abs(e_x), abs(e_y))):
+            density = e_mag ** 2 / (2.0 * sk.ETA0)
+            assert abs(density - expected) < 1e-10 * expected
 
 
 GOOD_CONFIG = """\

@@ -7,10 +7,12 @@ Every command runs as `python -m skinlink.cli` with PYTHONPATH=SRC, in its
 own directory OUT/<scenario>/<command>/, which receives the command's
 artifacts plus stdout.txt, stderr.txt and exit_code.txt. The inputs are
 written under OUT as well and passed by relative path, so no absolute path
-reaches an output: three scenario files and three reflection tables, a
+reaches an output: three scenario files and four reflection tables, a
 22-row subsample of the synthetic table, a 2-row table whose reflection
-phases straddle +-pi (its candidates' wrap-around midpoint lies at +-pi) and
-a table narrower than the 1 um synthesis step (a single candidate). Two OUT
+phases straddle +-pi (its candidates' wrap-around midpoint lies at +-pi), a
+table narrower than the 1 um synthesis step (a single candidate) and a
+4-row table with gamma_xx != gamma_yy on every row (the others mirror the
+two columns, so only this one tells the gamma_xx pairing apart). Two OUT
 directories made from two checkouts hold the same bytes exactly when
 `diff -r OUT1 OUT2` prints nothing.
 """
@@ -37,12 +39,17 @@ SCENARIOS = {
 TABLE = "../../table.csv"     # relative to a command's directory
 WRAP_TABLE = "../../wrap_table.csv"
 NARROW_TABLE = "../../narrow_table.csv"
+ANISO_TABLE = "../../aniso_table.csv"
 TABLE_HEADER = "g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy"
 FIXED_TABLES = {
     # gamma = -0.8 +- 0.6j: unit magnitude, phase pi - 0.64 to -pi + 0.64
     "wrap_table.csv": ["1e-3,-0.8,0.6,-0.8,0.6", "2e-3,-0.8,-0.6,-0.8,-0.6"],
     # a 0.1 um span: the synthesis grid holds its first geometry only
     "narrow_table.csv": ["1e-3,0,1,0,1", "1.0001e-3,0,-1,0,-1"],
+    # unit-magnitude gamma_yy over three quadrants, and a gamma_xx that differs
+    # from it on every row, so jm_y = (1 + gamma_xx) E_x differs from a mirror's
+    "aniso_table.csv": ["1e-3,0.6,0.8,-0.8,0.6", "2e-3,0,1,0.6,0.8",
+                        "3e-3,-0.6,0.8,0.6,-0.8", "4e-3,-0.8,-0.6,-0.8,0.6"],
 }
 
 COMMANDS = {
@@ -63,6 +70,8 @@ COMMANDS = {
     "sweep_side_wrap_table": ["sweep", "--values", "0.1:0.5:5", "--table", WRAP_TABLE],
     "design_0.3_narrow_table": ["design", "--side-l", "0.3", "--table", NARROW_TABLE],
     "sweep_side_narrow_table": ["sweep", "--values", "0.1:0.5:5", "--table", NARROW_TABLE],
+    "design_0.3_aniso_table": ["design", "--side-l", "0.3", "--table", ANISO_TABLE],
+    "cuts_aniso_table": ["cuts", "--side-l", "0.3", "--points", "21", "--table", ANISO_TABLE],
 }
 
 

@@ -19,7 +19,7 @@ from .ems import (EmsPanel, ReflectionLookupTable, design_panel, ems_upper_bound
 from .errors import (ConfigError, DomainError, FresnelValidityError, GeometryError,
                      LayoutError, SkinlinkError)
 from .field_engine import (CutMap, FieldCut, ObservationPoint, ScatteredField,
-                           SurfaceCurrents, beta, check_fresnel, field_cut_map,
+                           SurfaceCurrents, check_fresnel, field_cut_map,
                            fresnel_min_distance, l_fresnel, received_power,
                            receiver_tpa, scattered_field, scattered_field_at_points,
                            sinc)

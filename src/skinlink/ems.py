@@ -22,7 +22,7 @@ import numpy as np
 
 from .aperture import ApertureGrid, DescriptorVector, discretize
 from .errors import ConfigError, DomainError, LayoutError
-from .field_engine import ObservationPoint, SurfaceCurrents, beta
+from .field_engine import SurfaceCurrents, path_term
 from .scenario import LinkScenario, incident_fields
 
 _GAMMA_MAG_TOL = 1e-9          # passivity slack on |gamma|
@@ -125,19 +125,16 @@ class ReflectionLookupTable:
 
     @functools.cached_property
     def synthesis_lookup(self):
-        """Sorted distinct phases of 1 - gamma_yy on the synthesis grid and the
-        smallest geometry [m] reaching each, built once per table as read-only arrays."""
+        """(phases, geometry, winners): the sorted distinct phases of 1 - gamma_yy
+        on the synthesis grid, the smallest geometry [m] reaching each and their
+        _phase_bin_index, built once per table as read-only arrays."""
         g_fine, _, gamma_yy = self.synthesis_grid
-        phases, geometry = _candidate_lookup(np.angle(1.0 - gamma_yy), g_fine)
-        phases.flags.writeable = geometry.flags.writeable = False
-        return phases, geometry
-
-    @functools.cached_property
-    def phase_bins(self):
-        """_phase_bin_index of synthesis_lookup, built once per table, read-only."""
-        winners = _phase_bin_index(*self.synthesis_lookup)
-        winners.flags.writeable = False
-        return winners
+        phases, first = np.unique(np.angle(1.0 - gamma_yy), return_index=True)
+        geometry = g_fine[first]
+        lookup = (phases, geometry, _phase_bin_index(phases, geometry))
+        for array in lookup:
+            array.flags.writeable = False
+        return lookup
 
 
 def synthetic_table() -> ReflectionLookupTable:
@@ -234,25 +231,21 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
 
 
 def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarray:
-    """Phase-conjugation targets: minus the receiver-path phase of each cell,
-    as (P, P) phases [rad] wrapped to (-pi, pi] and indexed [p, q]."""
-    obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
-    X, Y = grid.cell_grid()
-    k = 2.0 * math.pi / scenario.wavelength
-    return wrap_phase(-k * beta((X, Y), obs))
-
-
-def _candidate_lookup(cand: np.ndarray, geometry: np.ndarray):
-    """Sorted distinct phases of cand and the smallest geometry reaching each;
-    geometry is ascending, cand in any phase order with repeats allowed."""
-    phases, first = np.unique(cand, return_index=True)
-    return phases, geometry[first]
+    """Phase-conjugation targets: minus k times the kernel's own path term
+    (path_term) of each cell toward the receiver at phi = 0, where the cross
+    term vanishes, as (P, P) phases [rad] wrapped to (-pi, pi] and indexed [p, q]."""
+    r, st, ct = scenario.r_rx, math.sin(scenario.theta0), math.cos(scenario.theta0)
+    f = path_term(grid.x_centers, r, st, ct, 1.0, 0.0)
+    g = path_term(grid.y_centers, r, st, ct, 0.0, 1.0)
+    phase = np.add.outer(f, g)
+    phase *= -2.0 * math.pi / scenario.wavelength
+    return wrap_phase(phase)
 
 
 def _nearest_candidate(phases: np.ndarray, geometry: np.ndarray, need: np.ndarray):
     """Geometry (per need) of the candidate phase at smallest wrapped distance.
 
-    phases and geometry are a _candidate_lookup pair. On the circle the
+    phases and geometry are the first two of synthesis_lookup. On the circle the
     nearest candidate is always one of the two circular neighbours of the need
     among the sorted phases, so only those two are compared; exact distance
     ties resolve to the smaller geometry. Returns an array shaped like need.
@@ -269,7 +262,7 @@ def _nearest_candidate(phases: np.ndarray, geometry: np.ndarray, need: np.ndarra
 def _phase_bin_index(phases: np.ndarray, geometry: np.ndarray) -> np.ndarray:
     """The nearest-candidate winner of each of _PHASE_BINS uniform bins of need.
 
-    phases and geometry are a _candidate_lookup pair with phases in (-pi, pi],
+    phases and geometry are the first two of synthesis_lookup, phases in (-pi, pi],
     as np.angle gives them for 1 - gamma (whose imaginary zero is never -0).
     Bin b holds the needs [-pi + b w, -pi + (b + 1) w), w = 2 pi / _PHASE_BINS.
     The circle splits into one arc per candidate at the midpoints between
@@ -334,8 +327,7 @@ def synthesize_layout(grid: ApertureGrid, table: ReflectionLookupTable,
         raise LayoutError("target phases must be finite")
     h_x = incident_fields(scenario, *grid.cell_grid())[2]
     need = targets - np.angle(h_x)
-    return DescriptorVector(values=_binned_candidate(*table.synthesis_lookup,
-                                                     table.phase_bins, need))
+    return DescriptorVector(values=_binned_candidate(*table.synthesis_lookup, need))
 
 
 def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,

@@ -16,8 +16,9 @@ with matrix products, a single point with numpy's pairwise sums, so that one
 point never wakes the BLAS threads. Only the current components with a
 nonzero cell are contracted: every screen's je_x is zero by construction
 (reflection_currents; a y-polarized source has no incident H_y), and a
-conducting screen (gamma = -1) carries no magnetic current either. beta keeps
-the unsplit path term that synthesis uses.
+conducting screen (gamma = -1) carries no magnetic current either. path_term
+is the one path-term expression: the kernel's row and column parts, and the
+phase-conjugation targets that synthesis conjugates.
 """
 
 from __future__ import annotations
@@ -92,19 +93,12 @@ def sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def beta(cell, obs: ObservationPoint):
-    """Fresnel path-length term [m] of a cell barycenter toward an observation point.
-
-    cell is (x_p, y_q) with scalar or array coordinates.
-    """
-    x = np.asarray(cell[0], dtype=float)
-    y = np.asarray(cell[1], dtype=float)
-    r = obs.r
-    s, c = math.sin(obs.theta), math.cos(obs.theta)
-    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
-    return (x * s * cp + y * s * sp
-            - c * c * (x * x + y * y) / (2.0 * r)
-            - (x * s * sp - y * s * cp) ** 2 / (2.0 * r))
+def path_term(u, r, st, ct, along, across):
+    """The share of the Fresnel path-length term [m] that a cell coordinate u [m]
+    carries toward a point at distance r, st, ct = sin, cos(theta). along, across
+    are cos(phi), sin(phi) for u = x and sin(phi), cos(phi) for u = y; the term is
+    path_term(x, ...) + path_term(y, ...) + kappa*x*y, kappa = st^2 sp cp / r."""
+    return u * st * along - u * u * (ct * ct + (st * across) ** 2) / (2.0 * r)
 
 
 def fresnel_min_distance(side_l: float, wavelength: float) -> float:
@@ -139,9 +133,11 @@ def l_fresnel(scenario) -> float:
 
 
 def format_length(value: float, decimals: int) -> str:
-    """A length [m] as fixed-point text with the given decimals below 1e6 m and in
-    exponent form with as many decimals at or above it, which keeps huge links short."""
-    return f"{value:.{decimals}{'f' if abs(value) < 1e6 else 'e'}}"
+    """A length [m] as fixed-point text with the given decimals from 10^-decimals m
+    up to 1e6 m and at zero, and in exponent form with as many decimals otherwise,
+    which keeps huge links short and shows the digits of tiny ones."""
+    fixed = value == 0 or 10.0**-decimals <= abs(value) < 1e6
+    return f"{value:.{decimals}{'f' if fixed else 'e'}}"
 
 
 def check_fresnel(side_l: float, wavelength: float, r: float, mode: str) -> None:
@@ -187,11 +183,11 @@ def _contract(a, col, b):
 def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     """The radiation sum at N points given by (r, theta, phi) arrays of shape (N,).
 
-    The path term splits exactly as beta = f(x) + g(y) + kappa*x*y with
-    kappa = sin^2(theta) sin(phi) cos(phi) / r, so exp(j k beta) is the
-    product of a = exp(j k f(x)) over the P rows, b = exp(j k g(y)) over the
-    Q columns and the cross term exp(j k kappa x y): P + Q exponentials per
-    point instead of P*Q.
+    The path term splits exactly as f(x) + g(y) + kappa*x*y with f and g
+    the path_term of x and of y and kappa = sin^2(theta) sin(phi) cos(phi) / r,
+    so its exponential is the product of a = exp(j k f(x)) over the P rows,
+    b = exp(j k g(y)) over the Q columns and the cross term exp(j k kappa x y):
+    P + Q exponentials per point instead of P*Q.
 
     The cross term is expanded in a Taylor series. The rows are split into
     blocks centred at x0; kappa*x0*y folds into each block's b, and the rest
@@ -228,8 +224,8 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     x, y = grid.x_centers, grid.y_centers
     r, st, ct, sp, cp = (v[:, None] for v in (r, st, ct, sp, cp))
     kappa = st * st * sp * cp / r
-    a = np.exp(1j * k * (x * st * cp - x * x * (ct * ct + (st * sp) ** 2) / (2.0 * r)))
-    g = y * st * sp - y * y * (ct * ct + (st * cp) ** 2) / (2.0 * r)
+    a = np.exp(1j * k * path_term(x, r, st, ct, cp, sp))
+    g = path_term(y, r, st, ct, sp, cp)
     live = [(i, col) for i, col in enumerate((currents.je_x, currents.je_y,
                                                currents.jm_x, currents.jm_y)) if col.any()]
 
@@ -268,9 +264,9 @@ def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
                     wavelength: float, fresnel: str = "off") -> ScatteredField:
     """Scattered field at one observation point from the closed-form cell sum.
 
-    Each cell contributes a phasor exp(j*2*pi/lambda * beta_pq) times the
-    current brackets, under a common prefactor with the per-cell sinc element
-    factors. fresnel="strict" rejects a point inside the Fresnel bound.
+    Each cell contributes the phasor exp(j k beta_pq) of its path term (path_term)
+    times the current brackets, under a common prefactor with the per-cell sinc
+    element factors. fresnel="strict" rejects a point inside the Fresnel bound.
     """
     check_fresnel(currents.grid.side_l, wavelength, obs.r, fresnel)
     e_theta, e_phi = _cell_sum(currents, np.array([obs.r]), np.array([obs.theta]),

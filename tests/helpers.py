@@ -1,6 +1,7 @@
 """Scenario and table-file builders shared by the test modules and their fixtures,
-the full-vector incident-field oracle that cross-checks incident_fields, and the
-sub-patch quadrature oracle that cross-checks the closed-form cell sum."""
+the unsplit path term that cross-checks path_term, the full-vector incident-field
+oracle that cross-checks incident_fields, and the sub-patch quadrature oracle
+that cross-checks the closed-form cell sum."""
 
 import math
 
@@ -32,6 +33,24 @@ def table_csv(table) -> str:
         lines.append(",".join(repr(float(v)) for v in (g, gxx.real, gxx.imag,
                                                        gyy.real, gyy.imag)))
     return "\n".join(lines) + "\n"
+
+
+def beta(cell, obs: ObservationPoint):
+    """Fresnel path-length term [m] of a cell barycenter toward an observation point.
+
+    An independent transcription of the unsplit term, x s cp + y s sp
+    - c^2 (x^2 + y^2) / 2r - (x s sp - y s cp)^2 / 2r, which the kernel and the
+    phase-conjugation targets evaluate split into path_term parts. cell is
+    (x_p, y_q) with scalar or array coordinates.
+    """
+    x = np.asarray(cell[0], dtype=float)
+    y = np.asarray(cell[1], dtype=float)
+    r = obs.r
+    s, c = math.sin(obs.theta), math.cos(obs.theta)
+    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
+    return (x * s * cp + y * s * sp
+            - c * c * (x * x + y * y) / (2.0 * r)
+            - (x * s * sp - y * s * cp) ** 2 / (2.0 * r))
 
 
 def spherical_wave_fields(scenario, x, y):

@@ -334,8 +334,8 @@ def test_thresholds_fresnel_side_past_float_square(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr()
     assert printed.err == ""
-    # lengths of 1e6 m and more print in exponent form
-    assert printed.out.splitlines()[:2] == ["L_TH = 0.000000 m", "L_FR = 4.674224e+102 m"]
+    # lengths of 1e6 m and more, and below 1e-6 m, print in exponent form
+    assert printed.out.splitlines()[:2] == ["L_TH = 3.580661e-79 m", "L_FR = 4.674224e+102 m"]
     l_fr = json.loads((out / "markers.json").read_text())["l_fr_m"]
     wavelength = sk.load_scenario(cfg).wavelength
     log_l_fr = (math.log(wavelength / (2.0 * math.sqrt(2.0)))

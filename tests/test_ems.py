@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.ems import (_PHASE_BINS, _binned_candidate, _candidate_lookup,
-                          _nearest_candidate, _phase_bin_index)
+from skinlink.ems import _PHASE_BINS, _binned_candidate, _nearest_candidate, _phase_bin_index
+from skinlink.field_engine import path_term
 
-from helpers import make_scenario, spherical_wave_fields, subsampled_table, table_csv
+from helpers import (beta, make_scenario, spherical_wave_fields, subsampled_table,
+                     table_csv)
 
 
 # --- phase wrapping -------------------------------------------------------
@@ -140,10 +141,23 @@ def test_ideal_phases_mirror_symmetry(baseline):
 
 
 def test_ideal_phase_hand_value(baseline):
-    obs = sk.ObservationPoint(r=15.0, theta=math.radians(30.0), phi=0.0)
-    b = sk.beta((0.1, 0.0), obs)
+    s, c = math.sin(math.radians(30.0)), math.cos(math.radians(30.0))
+    b = path_term(0.1, 15.0, s, c, 1.0, 0.0) + path_term(0.0, 15.0, s, c, 0.0, 1.0)
     got = sk.wrap_phase(-2.0 * math.pi / baseline.wavelength * b)
     assert got == pytest.approx(-3.0196970286476237, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.floats(3.5e9, 60e9), theta0_deg=st.floats(0.0, 60.0),
+       r_tx=st.floats(5.0, 50.0), r_rx=st.floats(5.0, 50.0), cells=st.integers(1, 40))
+def test_ideal_phases_conjugate_the_unsplit_path_term(f, theta0_deg, r_tx, r_rx, cells):
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    grid = sk.discretize(cells * scenario.pitch, scenario.pitch)
+    obs = sk.ObservationPoint(r=r_rx, theta=scenario.theta0, phi=0.0)
+    ref = -2.0 * math.pi / scenario.wavelength * beta(grid.cell_grid(), obs)
+    got = sk.ideal_current_phases(grid, scenario)
+    assert got.shape == (cells, cells)
+    assert np.all(np.abs(sk.wrap_phase(got - ref)) <= 1e-12)
 
 
 # --- sheet currents -------------------------------------------------------
@@ -200,7 +214,8 @@ def test_uniform_gamma_phase_does_not_steer():
 
 def nearest_index(cand, needs):
     """Index (per need) of the nearest candidate: the lookup over geometry 0, 1, ..."""
-    return _nearest_candidate(*_candidate_lookup(cand, np.arange(cand.size)), needs)
+    phases, first = np.unique(cand, return_index=True)
+    return _nearest_candidate(phases, first, needs)
 
 
 def test_nearest_candidate_tie_prefers_smaller_geometry():
@@ -292,7 +307,8 @@ def candidate_phases(draw):
 
 def bin_lookup(cand):
     """(phases, geometry, winners): the lookup over ascending geometry and its bin index."""
-    phases, geometry = _candidate_lookup(np.array(cand), 1e-3 + 1e-6 * np.arange(len(cand)))
+    phases, first = np.unique(np.array(cand), return_index=True)
+    geometry = 1e-3 + 1e-6 * first
     return phases, geometry, _phase_bin_index(phases, geometry)
 
 
@@ -329,8 +345,8 @@ def test_bin_index_holds_the_nearest_candidate(cand):
 
 
 def test_bin_index_of_the_synthetic_table_mixes_only_bins_at_midpoints(table):
-    phases, _ = table.synthesis_lookup
-    assert phases.size <= np.isnan(table.phase_bins).sum() <= 2 * phases.size
+    phases, _, winners = table.synthesis_lookup
+    assert phases.size <= np.isnan(winners).sum() <= 2 * phases.size
 
 
 @pytest.mark.parametrize("step", [1, 7])
@@ -339,13 +355,13 @@ def test_synthesis_gathers_what_the_direct_lookup_picks(baseline, step):
     grid = sk.discretize(1.0, baseline.pitch)
     targets = sk.ideal_current_phases(grid, baseline)
     h_x = sk.incident_fields(baseline, *grid.cell_grid())[2]
-    direct = _nearest_candidate(*table.synthesis_lookup,
+    direct = _nearest_candidate(*table.synthesis_lookup[:2],
                                 sk.wrap_phase(targets - np.angle(h_x)))
     assert np.array_equal(sk.synthesize_layout(grid, table, targets, baseline).values, direct)
 
 
 def test_synthesis_lookup_is_sorted_distinct_and_read_only(table):
-    phases, geometry = table.synthesis_lookup
+    phases, geometry, winners = table.synthesis_lookup
     assert np.all(np.diff(phases) > 0)
     assert geometry.shape == phases.shape
     lo, hi = table.g_range
@@ -354,14 +370,13 @@ def test_synthesis_lookup_is_sorted_distinct_and_read_only(table):
     g_fine, gxx, gyy = table.synthesis_grid
     assert g_fine.shape == gxx.shape == gyy.shape
     assert np.all(np.diff(g_fine) > 0) and g_fine[0] == lo
-    assert table.phase_bins.shape == (_PHASE_BINS,)
-    for array in (phases, geometry, g_fine, gxx, gyy, table.phase_bins):
+    assert winners.shape == (_PHASE_BINS,)
+    for array in (phases, geometry, winners, g_fine, gxx, gyy):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert table.synthesis_lookup is table.synthesis_lookup
     assert table.synthesis_grid is table.synthesis_grid
-    assert table.phase_bins is table.phase_bins
     # gamma_at hands out its own arrays, which leave the cache as it was
     got_xx, _ = table.gamma_at(g_fine[:3])
     got_xx[:] = 0.0
@@ -435,7 +450,7 @@ def test_mismatch_equals_sum_of_percell_minima(baseline, table):
     d = sk.synthesize_layout(grid, table, targets, baseline)
     phi = sk.synthesis_mismatch(grid, layout_currents(grid, table, d, baseline), targets)
 
-    cand, _ = table.synthesis_lookup
+    cand = table.synthesis_lookup[0]
     h_x = sk.incident_fields(baseline, *grid.cell_grid())[2]
     need = sk.wrap_phase(targets - np.angle(h_x))
     brute = np.abs(sk.wrap_phase(cand[None, None, :] - need[:, :, None]))

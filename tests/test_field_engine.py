@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.field_engine import format_length
+from skinlink.field_engine import format_length, path_term
 
-from helpers import make_scenario, quadrature_oracle
+from helpers import beta, make_scenario, quadrature_oracle
 
 LAMBDA = sk.wavelength(27e9)
 DELTA = LAMBDA / 2.0
@@ -35,15 +35,23 @@ def zero_currents(grid):
                               grid=grid)
 
 
+def split_beta(x, y, obs):
+    """The path term as the kernel splits it: path_term of x and of y plus kappa*x*y."""
+    s, c = math.sin(obs.theta), math.cos(obs.theta)
+    sp, cp = math.sin(obs.phi), math.cos(obs.phi)
+    return (path_term(x, obs.r, s, c, cp, sp) + path_term(y, obs.r, s, c, sp, cp)
+            + s * s * sp * cp / obs.r * x * y)
+
+
 def test_beta_center_cell_vanishes():
     obs = sk.ObservationPoint(r=12.0, theta=0.7, phi=1.1)
-    assert sk.beta((0.0, 0.0), obs) == 0.0
+    assert split_beta(0.0, 0.0, obs) == 0.0
 
 
 def test_beta_hand_value():
     obs = sk.ObservationPoint(r=15.0, theta=math.radians(30.0), phi=0.0)
     expected = 0.1 * 0.5 - 0.75 * 0.01 / 30.0
-    assert sk.beta((0.1, 0.0), obs) == pytest.approx(expected, abs=1e-15)
+    assert split_beta(0.1, 0.0, obs) == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(4.975e-2, abs=1e-9)
 
 
@@ -54,7 +62,16 @@ def test_beta_far_field_limit():
     for x in xs:
         for y in xs:
             linear = x * s * math.cos(obs.phi) + y * s * math.sin(obs.phi)
-            assert abs(sk.beta((x, y), obs) - linear) < 1e-9
+            assert abs(split_beta(x, y, obs) - linear) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(1.0, 100.0), theta=st.floats(0.0, math.pi / 2),
+       phi=st.floats(-math.pi, math.pi, exclude_min=True),
+       x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
+def test_path_term_split_matches_unsplit_beta(r, theta, phi, x, y):
+    obs = sk.ObservationPoint(r=r, theta=theta, phi=phi)
+    assert abs(split_beta(x, y, obs) - beta((x, y), obs)) <= 1e-15
 
 
 def test_observation_point_validation():
@@ -173,6 +190,13 @@ def test_format_length_switches_to_exponent_form_at_1e6_m():
     assert format_length(1e6, 3) == "1.000e+06"
     assert format_length(4.674224011907389e102, 6) == "4.674224e+102"
     assert format_length(math.inf, 3) == "inf"
+    # and below 10^-decimals m, where fixed-point text would print zeros
+    assert format_length(3.580660567314356e-79, 6) == "3.580661e-79"
+    assert format_length(9.9999e-7, 6) == "9.999900e-07"
+    assert format_length(1e-6, 6) == "0.000001"
+    assert format_length(-4e-4, 3) == "-4.000e-04"
+    assert format_length(1e-3, 3) == "0.001"
+    assert format_length(0.0, 6) == "0.000000"
 
 
 def test_fresnel_bounds_past_float_range():
@@ -286,7 +310,7 @@ def test_oracle_agreement_random_currents():
         assert relative_error(closed, oracle) < 1e-3
 
 
-def dense_field(currents, obs, wavelength, path=sk.beta, total=np.sum):
+def dense_field(currents, obs, wavelength, path=beta, total=np.sum):
     """(e_theta, e_phi) with one exp(j k path) per cell: the cell sum written
     out, each bracket's terms added by total."""
     grid = currents.grid

@@ -46,7 +46,7 @@ class ReflectionLookupTable:
 
     g holds U strictly increasing, finite geometry values [m]; gamma_xx and
     gamma_yy the matching finite complex reflection coefficients, passive
-    (|gamma| <= 1).
+    (|gamma| <= 1). The table keeps read-only copies of the three columns.
     Lookups between entries interpolate magnitude and unwrapped phase linearly.
     """
 
@@ -55,6 +55,10 @@ class ReflectionLookupTable:
     gamma_yy: np.ndarray
 
     def __post_init__(self):
+        for name in ("g", "gamma_xx", "gamma_yy"):   # read-only copies: one table, one answer
+            column = np.array(getattr(self, name))
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if self.g.ndim != 1 or self.g.size < 2:
             raise ConfigError("reflection table needs at least two entries")
         if self.gamma_xx.shape != self.g.shape or self.gamma_yy.shape != self.g.shape:
@@ -126,8 +130,8 @@ class ReflectionLookupTable:
     @functools.cached_property
     def synthesis_lookup(self):
         """(phases, geometry, winners): the sorted distinct phases of 1 - gamma_yy
-        on the synthesis grid, the smallest geometry [m] reaching each and their
-        _phase_bin_index, built once per table as read-only arrays."""
+        on the synthesis grid, the smallest geometry [m] reaching each and the
+        _phase_bin_index of their _arc split, built once per table, read-only."""
         g_fine, _, gamma_yy = self.synthesis_grid
         phases, first = np.unique(np.angle(1.0 - gamma_yy), return_index=True)
         geometry = g_fine[first]
@@ -150,7 +154,7 @@ def synthetic_table() -> ReflectionLookupTable:
     psi = math.pi + _SYNTHETIC_PHASE_SPAN / 2.0 - _SYNTHETIC_PHASE_SPAN * scurve
     gamma = np.exp(1j * psi)
     g = np.linspace(*_SYNTHETIC_G_RANGE, x.size)
-    return ReflectionLookupTable(g=g, gamma_xx=gamma.copy(), gamma_yy=gamma)
+    return ReflectionLookupTable(g=g, gamma_xx=gamma, gamma_yy=gamma)
 
 
 _TABLE_HEADER = ["g_m", "re_gamma_xx", "im_gamma_xx", "re_gamma_yy", "im_gamma_yy"]
@@ -242,53 +246,44 @@ def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarr
     return wrap_phase(phase)
 
 
-def _nearest_candidate(phases: np.ndarray, geometry: np.ndarray, need: np.ndarray):
-    """Geometry (per need) of the candidate phase at smallest wrapped distance.
-
-    phases and geometry are the first two of synthesis_lookup. On the circle the
-    nearest candidate is always one of the two circular neighbours of the need
-    among the sorted phases, so only those two are compared; exact distance
-    ties resolve to the smaller geometry. Returns an array shaped like need.
-    """
-    flat_need = need.reshape(-1)
-    above = np.searchsorted(phases, flat_need)
-    pair = np.stack([above - 1, above % phases.size])   # -1 wraps to the top
-    dist = np.abs(wrap_phase(phases[pair] - flat_need))
-    geom = geometry[pair]
-    pick = (dist[1] < dist[0]) | ((dist[1] == dist[0]) & (geom[1] < geom[0]))
-    return np.where(pick, geom[1], geom[0]).reshape(need.shape)
-
-
-def _phase_bin_index(phases: np.ndarray, geometry: np.ndarray) -> np.ndarray:
-    """The nearest-candidate winner of each of _PHASE_BINS uniform bins of need.
-
-    phases and geometry are the first two of synthesis_lookup, phases in (-pi, pi],
-    as np.angle gives them for 1 - gamma (whose imaginary zero is never -0).
-    Bin b holds the needs [-pi + b w, -pi + (b + 1) w), w = 2 pi / _PHASE_BINS.
-    The circle splits into one arc per candidate at the midpoints between
-    circularly neighbouring phases, and inside its arc a candidate is the
-    unique nearest one. For a need between two neighbours, the two distances
-    _nearest_candidate compares differ by min(2 |need - midpoint|, s), s the
-    short arc between the neighbours, and are exact to a few ulps of pi. So
-    a bin whose span, widened by _BIN_MARGIN on each side, lies inside one arc
-    stores that candidate's geometry, which _nearest_candidate returns for
-    every need in the bin. Every other bin, one within _BIN_MARGIN of a
-    midpoint, stores NaN ("mixed"). s only falls below the margin when all of
-    two or more candidates lie within it of each other; then every bin is
-    mixed. Exact distance ties thus only occur in mixed bins.
-    """
-    gaps = np.diff(phases, append=phases[0] + 2.0 * math.pi)
-    if phases.size > 1 and 2.0 * math.pi - gaps.max() <= _BIN_MARGIN:
-        return np.full(_PHASE_BINS, np.nan)
-    width = 2.0 * math.pi / _PHASE_BINS
+def _arc(phases: np.ndarray, phase: np.ndarray):
+    """(index, margin) of each phase's arc. The sorted candidate phases in
+    (-pi, pi] split the circle at the midpoints between neighbours, the
+    wrap-around one as the seam; arc i, where candidate i is the nearest, runs
+    from the midpoint below phases[i] up to the one above, and margin is the
+    distance [rad] to the nearer end of the arc, 0 exactly at its start."""
     wrap_mid = (phases[-1] + phases[0] + 2.0 * math.pi) / 2.0   # in [top phase, phases[0] + 2 pi]
     bounds = np.concatenate([[wrap_mid - 2.0 * math.pi],
                              (phases[:-1] + phases[1:]) / 2.0, [wrap_mid]])
-    centres = -math.pi + (np.arange(_PHASE_BINS) + 0.5) * width
-    centres = np.where(centres < bounds[0], centres + 2.0 * math.pi, centres)   # into the
-    centres = np.where(centres >= bounds[-1], centres - 2.0 * math.pi, centres)  # bounds' turn
-    arc = np.clip(np.searchsorted(bounds, centres, side="right") - 1, 0, phases.size - 1)
-    margin = np.minimum(centres - bounds[arc], bounds[arc + 1] - centres)
+    phase = np.where(phase < bounds[0], phase + 2.0 * math.pi, phase)    # into the
+    phase = np.where(phase >= bounds[-1], phase - 2.0 * math.pi, phase)  # bounds' turn
+    index = np.clip(np.searchsorted(bounds, phase, side="right") - 1, 0, phases.size - 1)
+    return index, np.minimum(phase - bounds[index], bounds[index + 1] - phase)
+
+
+def _nearest_candidate(phases: np.ndarray, geometry: np.ndarray, need: np.ndarray):
+    """Geometry (per need in (-pi, pi]) of the candidate whose _arc holds the need.
+
+    phases and geometry are the first two of synthesis_lookup. A need exactly on
+    a midpoint, at margin 0 at the start of the arc above, takes the smaller
+    geometry of the two neighbours. Returns an array shaped like need.
+    """
+    arc, margin = _arc(phases, need.reshape(-1))
+    tie = np.minimum(geometry[arc - 1], geometry[arc])   # -1 wraps to the top
+    return np.where(margin == 0.0, tie, geometry[arc]).reshape(need.shape)
+
+
+def _phase_bin_index(phases: np.ndarray, geometry: np.ndarray) -> np.ndarray:
+    """The _nearest_candidate winner of each of _PHASE_BINS uniform bins of need.
+
+    phases and geometry are the first two of synthesis_lookup. Bin b holds the
+    needs [-pi + b w, -pi + (b + 1) w), w = 2 pi / _PHASE_BINS. A bin whose
+    centre lies in an _arc with margin above w/2 + _BIN_MARGIN stays inside
+    that arc when widened by _BIN_MARGIN on each side, and stores its geometry;
+    every other bin stores NaN ("mixed").
+    """
+    width = 2.0 * math.pi / _PHASE_BINS
+    arc, margin = _arc(phases, -math.pi + (np.arange(_PHASE_BINS) + 0.5) * width)
     return np.where(margin > width / 2.0 + _BIN_MARGIN, geometry[arc], np.nan)
 
 
@@ -301,8 +296,8 @@ def _binned_candidate(phases: np.ndarray, geometry: np.ndarray, winners: np.ndar
     and an integer modulo, which rounds like wrap_phase to about 1e-13 rad
     for |need| up to a few hundred. That is far inside _BIN_MARGIN, so a need
     whose bin lands one off lands in a neighbour holding the same winner, or
-    in a mixed bin. Needs in mixed bins go through _nearest_candidate, so the
-    result is the same array, bit for bit.
+    in a mixed bin, whose needs go through _nearest_candidate. Both read one
+    _arc split, so the result is the same array, bit for bit.
     """
     bins = np.floor((need + math.pi) * (_PHASE_BINS / (2.0 * math.pi))).astype(np.intp)
     picked = winners[bins & (_PHASE_BINS - 1)]    # modulo the power of two _PHASE_BINS

@@ -278,17 +278,22 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
                               wavelength: float):
     """Vectorized scattered field at Cartesian points of shape (N, 3).
 
-    Returns (e_theta, e_phi) arrays of shape (N,). Points must be finite and
-    lie in the reflection half-space z > 0. No Fresnel check is applied here;
-    callers sampling maps validate their cut definition instead. Points are
-    summed _POINT_CHUNK at a time, which bounds the per-point factor arrays.
+    Returns (e_theta, e_phi) arrays of shape (N,). Points must be finite, lie
+    in the reflection half-space z > 0 and have a distance from the panel
+    centre inside float range; GeometryError otherwise. No Fresnel check is
+    applied here; callers sampling maps validate their cut definition instead.
+    Points are summed _POINT_CHUNK at a time, which bounds the per-point
+    factor arrays.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(pts)):
         raise GeometryError("observation points must be finite")
     if np.any(pts[:, 2] <= 0.0):
         raise GeometryError("observation points must lie in the half-space z > 0")
-    r = np.linalg.norm(pts, axis=1)
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(pts, axis=1)
+    if not np.all(np.isfinite(r)):
+        raise GeometryError("observation distance is out of float range")
     theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
 
@@ -320,10 +325,15 @@ def receiver_tpa(currents: SurfaceCurrents, scenario) -> float:
 
     Evaluates only. The receiver's Fresnel validity is fixed by the link, so
     the design and cuts commands check it once (cli) and sweep reports it per row.
+    Raises DomainError where the received power leaves float range, and where
+    P_rx/P_tx underflows to 0.0 (a receiver too far away), which has no dB figure.
     """
     obs = ObservationPoint(r=scenario.r_rx, theta=scenario.theta0, phi=0.0)
     field = scattered_field(currents, obs, scenario.wavelength)
-    return received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
+    tpa = received_power(field, scenario.g_rx, scenario.wavelength) / scenario.p_tx
+    if tpa == 0.0:
+        raise DomainError("path attenuation P_rx/P_tx underflows to 0")
+    return tpa
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,43 @@ def test_thresholds_fresnel_side_past_float_square(tmp_path, capsys):
     assert l_fr == pytest.approx(math.exp(log_l_fr), rel=1e-12)
 
 
+_UNDERFLOW_ERROR = "path attenuation P_rx/P_tx underflows to 0"
+
+
+def test_design_underflowed_received_power_exit(tmp_path, capsys):
+    # a receiver 1e155 m away: P_rx/P_tx underflows to 0, which has no dB figure
+    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    out = tmp_path / "o"
+    code = main(["design", "--scenario", cfg, "--side-l", "0.8", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {_UNDERFLOW_ERROR}\n"
+    assert not out.exists()
+
+
+def test_sweep_underflowed_received_power_records_every_row(tmp_path, capsys):
+    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", cfg, "--values", "0.1,0.2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "".join(
+        f"row {v}: DomainError: {_UNDERFLOW_ERROR}\n" for v in (0.1, 0.2))
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [f"side_l,{v},nan,nan,nan,nan,false" for v in (0.1, 0.2)]
+    doc = json.loads((out / "markers.json").read_text())
+    assert doc["l_th_ems_present"] is False and doc["l_pcs_ems_present"] is False
+
+
+def test_cuts_distance_past_float_range_exit(tmp_path, capsys):
+    # the cut points lie 1e155 m away, where the squares in their distance overflow
+    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    out = tmp_path / "o"
+    code = main(["cuts", "--scenario", cfg, "--side-l", "0.5", "--points", "21",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: observation distance is out of float range\n"
+    assert not out.exists()
+
+
 def test_sweep_overflowing_field_prints_only_the_row_error(tmp_path, capsys):
     # 1e300 W and a receiver 1e-160 m away: the field itself leaves float range
     cfg = _config_file(tmp_path, p_tx_w="1e300")

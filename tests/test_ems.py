@@ -53,6 +53,21 @@ def test_table_validation():
         sk.ReflectionLookupTable(g=g[:1], gamma_xx=ok[:1], gamma_yy=ok[:1])
 
 
+def test_table_columns_are_read_only_copies():
+    g = np.array([1e-3, 2e-3, 3e-3])
+    gamma = np.exp(1j * np.array([2.0, 1.0, 0.0]))
+    tab = sk.ReflectionLookupTable(g=g, gamma_xx=gamma, gamma_yy=gamma)
+    before = tab.gamma_at(np.array([2e-3, 2.5e-3]))
+    for column in (tab.g, tab.gamma_xx, tab.gamma_yy):
+        with pytest.raises(ValueError):
+            column[1] = column[0]
+    g[1] = g[0]                      # the caller's own arrays stay the caller's
+    gamma[:] = -1.0
+    assert np.all(np.diff(tab.g) > 0)
+    for got, want in zip(tab.gamma_at(np.array([2e-3, 2.5e-3])), before):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_table_csv_roundtrip(tmp_path, table):
     path = tmp_path / "table.csv"
     path.write_text(table_csv(table))
@@ -342,6 +357,27 @@ def test_bin_index_holds_the_nearest_candidate(cand):
     # each midpoint (the antipode of a lone candidate) mixes the bin it lies in,
     # or two when it lies within the margin of their shared edge, and no other
     assert phases.size <= np.isnan(winners).sum() <= 2 * phases.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(cand=candidate_phases(), needs=st.lists(_PHASE, min_size=1, max_size=20))
+def test_nearest_candidate_is_nearest_off_the_lattice(cand, needs):
+    cand, needs = np.array(cand), np.array(needs)
+    picked = cand[nearest_index(cand, needs)]
+    dist = np.abs(sk.wrap_phase(picked - needs))
+    brute = np.abs(sk.wrap_phase(cand[None, :] - needs[:, None])).min(axis=1)
+    assert np.all(dist <= brute + 2e-15)
+
+
+def test_bin_index_of_two_candidates_a_few_ulps_apart():
+    # the two midpoints sit near 0 and near +-pi, each on a bin edge; the far
+    # candidate is nearer to every positive need, by 6e-173 rad
+    phases, geometry, winners = bin_lookup([0.0, 6e-173])
+    assert np.isnan(winners).sum() == 4
+    need = np.array([2.0, -2.0])
+    for pick in (_nearest_candidate(phases, geometry, need),
+                 _binned_candidate(phases, geometry, winners, need)):
+        np.testing.assert_array_equal(pick, geometry[[1, 0]])
 
 
 def test_bin_index_of_the_synthetic_table_mixes_only_bins_at_midpoints(table):

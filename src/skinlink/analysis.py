@@ -13,7 +13,7 @@ from .ems import ReflectionLookupTable, design_panel, ems_upper_bound_tpa, gstc_
 from .errors import DomainError, SkinlinkError
 from .field_engine import fresnel_min_distance, l_fresnel, receiver_tpa
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
-from .scenario import LinkScenario
+from .scenario import LinkScenario, shared_incident_fields
 
 SWEEP_VARIABLES = ("side_l", "r_rx", "theta0", "rho")
 _WIN_MARGIN = 1.0 + 1e-12   # a win beats rounding: a gamma = -1 skin ties the screen
@@ -73,11 +73,15 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
     layout, a_pcs a conducting screen of the same cells, a_opt its snapped
     side. fresnel_ok checks the receiver against that snapped side, the check
     that design and cuts apply. The row's variable is side_l and its value the
-    requested side; sweep replaces both for its own variable.
+    requested side; sweep replaces both for its own variable. Synthesis, the
+    skin's currents and the screen's currents read one incident field: the
+    point is one shared_incident_fields scope, so its three incident_fields
+    calls make one computation.
     """
-    panel, _ = design_panel(scenario, side_l, table)
-    a_ems = receiver_tpa(gstc_currents(panel, scenario), scenario)
-    a_pcs = pcs_tpa(scenario, side_l)
+    with shared_incident_fields():
+        panel, _ = design_panel(scenario, side_l, table)
+        a_ems = receiver_tpa(gstc_currents(panel, scenario), scenario)
+        a_pcs = pcs_tpa(scenario, side_l)
     side = panel.grid.side_l
     return TpaSweepRow(
         variable="side_l", value=side_l, a_pcs=a_pcs, a_ems=a_ems,

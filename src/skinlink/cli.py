@@ -25,7 +25,7 @@ from .aperture import export_layout, scenario_fingerprint
 from .errors import ConfigError, FresnelValidityError, SkinlinkError
 from .field_engine import FieldCut, check_fresnel, field_cut_map, format_length, receiver_tpa
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
-from .scenario import LinkScenario, db, load_scenario
+from .scenario import LinkScenario, db, load_scenario, shared_incident_fields
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -164,13 +164,15 @@ def _ring_count(matrix: np.ndarray, g_lo: float, g_hi: float) -> int:
 def cmd_design(args) -> int:
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
-    panel, targets = ems.design_panel(scenario, args.side_l, table)
-    _check_receiver(args, scenario, panel)
-    currents = ems.gstc_currents(panel, scenario)   # one current set for both figures
-    phi = ems.synthesis_mismatch(panel.grid, currents, targets)
-    a_ems = receiver_tpa(currents, scenario)
+    with shared_incident_fields():    # synthesis and both screens read one field
+        panel, targets = ems.design_panel(scenario, args.side_l, table)
+        _check_receiver(args, scenario, panel)
+        a_pcs = pcs_tpa(scenario, args.side_l)    # before the skin's, so one current set is held
+        currents = ems.gstc_currents(panel, scenario)   # one current set for both figures
+        phi = ems.synthesis_mismatch(panel.grid, currents, targets)
+        a_ems = receiver_tpa(currents, scenario)
+        del currents
     a_opt = ems.ems_upper_bound_tpa(scenario, panel.grid.side_l)
-    a_pcs = pcs_tpa(scenario, args.side_l)
     rings = _ring_count(panel.d.values, *table.g_range)
 
     out = _outdir(args)
@@ -245,13 +247,14 @@ def cmd_cuts(args) -> int:
             for plane in planes]
     scenario = load_scenario(args.scenario)
     table = _load_table(args.table)
-    panel, _ = ems.design_panel(scenario, args.side_l, table)
-    # every map shares the panel and the receiver, so one Fresnel check covers all
-    _check_receiver(args, scenario, panel)
-    screens = {
-        "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
-        "ems": ems.gstc_currents(panel, scenario),
-    }
+    with shared_incident_fields():    # synthesis and both screens read one field
+        panel, _ = ems.design_panel(scenario, args.side_l, table)
+        # every map shares the panel and the receiver, so one Fresnel check covers all
+        _check_receiver(args, scenario, panel)
+        screens = {
+            "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
+            "ems": ems.gstc_currents(panel, scenario),
+        }
     maps = [(f"cuts_{screen}_{cut.plane}", field_cut_map(currents, cut, scenario))
             for cut in cuts for screen, currents in screens.items()]
     out = _outdir(args)

@@ -141,13 +141,16 @@ class ReflectionLookupTable:
         return lookup
 
 
+@functools.cache
 def synthetic_table() -> ReflectionLookupTable:
     """Stand-in lookup table for a square-patch cell family.
 
     64 geometry values span 0.3 mm to 5.0 mm evenly. gamma_yy follows a
     smooth monotone S-curve of reflection phase over 300 degrees centered on
     180 degrees (phase decreasing as the patch grows), with unit magnitude;
-    gamma_xx mirrors gamma_yy.
+    gamma_xx mirrors gamma_yy. It is built once per process and the one
+    instance is shared: its columns and its cached synthesis_grid and
+    synthesis_lookup are read-only.
     """
     x = np.linspace(0.0, 1.0, 64)
     scurve = x - _SCURVE_SWING * np.sin(2.0 * math.pi * x) / (2.0 * math.pi)

@@ -8,6 +8,8 @@ polarized along the panel y axis.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -99,6 +101,26 @@ class LinkScenario:
         return np.array([self.r_rx * s, 0.0, self.r_rx * c])
 
 
+# The memo of the innermost open shared_incident_fields scope, None outside any.
+_FIELD_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "skinlink_incident_fields_memo", default=None)
+
+
+@contextlib.contextmanager
+def shared_incident_fields():
+    """Within the block, incident_fields computes each key it is given once.
+
+    The memo belongs to the current context, so a thread (which starts with
+    an empty context) sees only the scopes it opens itself, and it is dropped
+    when the block ends, so nothing computed in one scope reaches another.
+    """
+    token = _FIELD_MEMO.set({})
+    try:
+        yield
+    finally:
+        _FIELD_MEMO.reset(token)
+
+
 def incident_fields(scenario: LinkScenario, x, y):
     """Tangential incident E and H of the gain-scaled spherical-wave source at panel points.
 
@@ -112,20 +134,62 @@ def incident_fields(scenario: LinkScenario, x, y):
     components, and H_y is identically 0, so e_x, e_y and h_x are all it
     needs. rho = 0 (the transmitter, or a wave along y) leaves the
     polarization undefined.
+
+    Inside a shared_incident_fields scope the fields are computed once per
+    key and the stored arrays are returned, read-only, on every later call.
+    The key is exactly what the field reads: the bytes of the transmitter
+    position, the wavelength, g_tx, p_tx and the shape and bytes of x and y.
+    So scenarios that differ only in r_rx, g_rx or delta share an entry, and
+    theta0 = 0.0 and -0.0 (whose transmitter x differs in sign) do not.
+    Outside any scope every call computes, and the arrays are writable.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    memo = _FIELD_MEMO.get()
+    if memo is None:
+        return _incident_fields(scenario, x, y)
     tx = scenario.tx_position
-    px = np.asarray(x, dtype=float) - tx[0]
-    py = np.asarray(y, dtype=float) - tx[1]
+    key = (tx.tobytes(), scenario.wavelength, scenario.g_tx, scenario.p_tx,
+           x.shape, x.tobytes(), y.shape, y.tobytes())
+    fields = memo.get(key)
+    if fields is None:
+        fields = _incident_fields(scenario, x, y)
+        for field in fields:
+            if isinstance(field, np.ndarray):    # a 0-d result is an immutable scalar
+                field.flags.writeable = False
+        memo[key] = fields
+    return fields
+
+
+def _incident_fields(scenario: LinkScenario, x: np.ndarray, y: np.ndarray):
+    """incident_fields' arithmetic on float arrays, in place where the
+    operation order allows, so that every bit matches the plain expression."""
+    scalar = not np.broadcast_shapes(x.shape, y.shape)
+    if scalar:    # ufuncs return 0-d results as scalars, which out= cannot take
+        x, y = x.reshape(1), y.reshape(1)
+    tx = scenario.tx_position
+    px = x - tx[0]
+    py = y - tx[1]
     pz = -tx[2]
-    d = np.sqrt(px * px + py * py + pz * pz)
+    d = px * px + py * py
+    d += pz * pz
+    np.sqrt(d, out=d)
     rho = np.sqrt(px * px + pz * pz)
     if np.any(rho == 0.0):
         raise GeometryError("incident polarization is undefined on the transmitter's y axis")
 
     amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
-    u = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / (d * rho)
+    u = -1j * (2.0 * math.pi / scenario.wavelength) * d
+    np.exp(u, out=u)
+    u *= amp
+    real = d * rho              # the one real (broadcast-shaped) scratch buffer
+    u /= real
     u_d = u / d
-    return u_d * (-py * px), u_d * (rho * rho), u * (-pz / ETA0)
+    np.multiply(-py, px, out=real)
+    e_x = u_d * real
+    u_d *= rho * rho
+    u *= -pz / ETA0
+    return (e_x[0], u_d[0], u[0]) if scalar else (e_x, u_d, u)
 
 
 _SCENARIO_KEYS = {

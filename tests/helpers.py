@@ -1,7 +1,9 @@
 """Scenario and table-file builders shared by the test modules and their fixtures,
 the unsplit path term that cross-checks path_term, the full-vector incident-field
-oracle that cross-checks incident_fields, and the sub-patch quadrature oracle
-that cross-checks the closed-form cell sum."""
+oracle that cross-checks incident_fields, the plain incident-field expression
+that incident_fields must match bit for bit, a counter of its calls and
+computations, and the sub-patch quadrature oracle that cross-checks the
+closed-form cell sum."""
 
 import math
 
@@ -72,6 +74,42 @@ def spherical_wave_fields(scenario, x, y):
     amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
     e = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / d * pol
     return e, np.cross(k_hat, e) / ETA0
+
+
+def incident_reference(scenario, x, y):
+    """incident_fields as one plain expression per quantity, each operation
+    allocating its result: the arithmetic, in its order, that the in-place
+    incident_fields must reproduce bit for bit (it skips the rho = 0 check)."""
+    tx = scenario.tx_position
+    px = np.asarray(x, dtype=float) - tx[0]
+    py = np.asarray(y, dtype=float) - tx[1]
+    pz = -tx[2]
+    d = np.sqrt(px * px + py * py + pz * pz)
+    rho = np.sqrt(px * px + pz * pz)
+    amp = math.sqrt(ETA0 * scenario.g_tx * scenario.p_tx / (2.0 * math.pi))
+    u = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / (d * rho)
+    u_d = u / d
+    return u_d * (-py * px), u_d * (rho * rho), u * (-pz / ETA0)
+
+
+def count_incident_fields(monkeypatch):
+    """Record each incident_fields call the library makes (every caller reads
+    ems's binding) and each field computation behind them; returns the two
+    lists (calls, computed), which grow as the calls happen."""
+    calls, computed = [], []
+    fields, compute = sk.ems.incident_fields, sk.scenario._incident_fields
+
+    def counting_calls(*args):
+        calls.append(args)
+        return fields(*args)
+
+    def counting_computations(*args):
+        computed.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(sk.ems, "incident_fields", counting_calls)
+    monkeypatch.setattr(sk.scenario, "_incident_fields", counting_computations)
+    return calls, computed
 
 
 def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,

@@ -10,7 +10,7 @@ import pytest
 import skinlink as sk
 from skinlink import analysis
 
-from helpers import make_scenario
+from helpers import count_incident_fields, make_scenario
 
 
 def test_threshold_side_values(baseline, baseline_50m):
@@ -163,6 +163,16 @@ def test_sweep_records_library_error_type(baseline, table, monkeypatch):
     assert math.isnan(rows[0].a_ems)
 
 
+def test_evaluate_point_computes_its_incident_field_once(baseline, table, monkeypatch):
+    """Three incident_fields calls per point (synthesis and both screens' currents,
+    the call graph the benchmark's spans pin), one computation, none kept."""
+    calls, computed = count_incident_fields(monkeypatch)
+    row = analysis.evaluate_point(baseline, 0.3, table)
+    assert (len(calls), len(computed)) == (3, 1)
+    assert analysis.evaluate_point(baseline, 0.3, table) == row
+    assert (len(calls), len(computed)) == (6, 2)
+
+
 def test_threaded_sweep_leaves_warning_filters_alone(baseline, table):
     # warnings.catch_warnings saves and restores the process-wide filter list,
     # so worker threads that enter and leave it concurrently can leak filters
@@ -192,14 +202,16 @@ def test_receiver_distance_sweep_beats_asymptote(table):
 
 
 def test_sweep_parallel_matches_serial(baseline, table):
-    values = [0.2, 0.4, 0.6]
-    serial = sk.sweep(baseline, "side_l", values, table, workers=1)
-    parallel = sk.sweep(baseline, "side_l", values, table, workers=3)
-    for a, b in zip(serial, parallel):
-        assert a.a_pcs == b.a_pcs
-        assert a.a_ems == b.a_ems
-        assert a.a_opt == b.a_opt
-        assert a.a_inf == b.a_inf
+    """Rows are exactly the same whatever the pool size, for a side sweep and
+    for sweeps whose geometry, and so whose incident field, changes per point."""
+    for variable, values, side_l in [("side_l", [0.2, 0.4, 0.6], None),
+                                     ("r_rx", [8.0, 12.0, 20.0], 0.2),
+                                     ("theta0", [0.0, 0.3, 0.6], 0.2)]:
+        serial = sk.sweep(baseline, variable, values, table, side_l=side_l, workers=1)
+        assert all(r.error is None for r in serial)
+        for workers in (2, 3):
+            assert sk.sweep(baseline, variable, values, table, side_l=side_l,
+                            workers=workers) == serial
 
 
 def test_markers_located(baseline, markers19):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 import skinlink as sk
 from skinlink.cli import main
 
-from helpers import subsampled_table, table_csv
+from helpers import count_incident_fields, subsampled_table, table_csv
 
 BASE_CONFIG = """\
 f_hz = 27e9
@@ -670,3 +674,48 @@ def test_cuts_ems_peak_dominates(scenario_file, tmp_path):
         return max(float(r.split(",")[3]) for r in rows)
 
     assert peak("ems") >= peak("pcs")
+
+
+def _tree(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--side-l", "0.3"],
+    ["cuts", "--side-l", "0.2", "--plane", "transversal", "--points", "5"],
+], ids=["design", "cuts"])
+def test_command_computes_its_incident_field_once(scenario_file, tmp_path, monkeypatch,
+                                                  argv):
+    calls, computed = count_incident_fields(monkeypatch)
+    assert main([*argv, "--scenario", scenario_file, "--out", str(tmp_path)]) == 0
+    assert (len(calls), len(computed)) == (3, 1)
+
+
+def test_in_process_commands_write_what_fresh_processes_write(scenario_file, tmp_path,
+                                                             capsys):
+    """No state carried between commands in one process (the synthetic table is
+    one shared instance, the incident field is shared within a command) can make
+    a later command write other bytes than a fresh process does."""
+    other = tmp_path / "other.cfg"
+    other.write_text(BASE_CONFIG.replace("r_rx_m = 15", "r_rx_m = 18")
+                     .replace("theta0_deg = 30", "theta0_deg = 40"))
+    design_a = ["design", "--scenario", scenario_file, "--side-l", "0.3"]
+    sweep_a = ["sweep", "--scenario", scenario_file, "--values", "0.1:0.3:5"]
+    design_b = ["design", "--scenario", str(other), "--side-l", "0.3"]
+    printed = {}
+    for name, argv in [("a1", design_a), ("b", design_b), ("a2", design_a), ("s", sweep_a)]:
+        assert main([*argv, "--out", str(tmp_path / "in" / name)]) == 0
+        printed[name] = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(sk.__file__).resolve().parents[1]))
+    for name, argv in [("a", design_a), ("s", sweep_a)]:
+        run = subprocess.run([sys.executable, "-m", "skinlink.cli", *argv,
+                              "--out", str(tmp_path / "fresh" / name)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0
+        printed[f"fresh_{name}"] = (run.stdout, run.stderr)
+    fresh_a = _tree(tmp_path / "fresh" / "a")
+    assert _tree(tmp_path / "in" / "a1") == fresh_a == _tree(tmp_path / "in" / "a2")
+    assert _tree(tmp_path / "in" / "s") == _tree(tmp_path / "fresh" / "s")
+    for name in ("a1", "a2"):
+        assert (printed[name].out, printed[name].err) == printed["fresh_a"]
+    assert (printed["s"].out, printed["s"].err) == printed["fresh_s"]

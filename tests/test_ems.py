@@ -33,6 +33,9 @@ def test_wrap_range_and_periodicity():
 # --- lookup table ---------------------------------------------------------
 
 def test_synthetic_table_defaults(table):
+    # one instance per process, shared by every caller; it is read-only
+    # (test_synthesis_lookup_is_sorted_distinct_and_read_only, on this table)
+    assert sk.synthetic_table() is table
     assert table.g.size == 64
     np.testing.assert_allclose(np.abs(table.gamma_yy), 1.0, rtol=1e-12)
     np.testing.assert_array_equal(table.gamma_xx, table.gamma_yy)

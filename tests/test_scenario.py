@@ -2,14 +2,18 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.scenario import _SCENARIO_KEYS
+from skinlink.scenario import _SCENARIO_KEYS, shared_incident_fields
 
-from helpers import make_scenario, spherical_wave_fields
+from helpers import (count_incident_fields, incident_reference, make_scenario,
+                     spherical_wave_fields)
 
 
 def test_constants_consistency():
@@ -168,6 +172,114 @@ r_tx_m = 15
 r_rx_m = 15
 theta0_deg = 30
 """
+
+
+# --- the shared incident field: bit-exact arithmetic and the scoped memo ---
+
+def same_bits(got, want) -> bool:
+    """Equal type, shape and bytes: the same result, not merely a close one."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def lattice_points(scenario, cells: int, kind: str):
+    """Cell barycentres of a cells x cells panel as 0-d, 1-d or broadcast (x, y)."""
+    grid = sk.discretize(cells * scenario.pitch, scenario.pitch)
+    if kind == "0-d":
+        return float(grid.x_centers[0]), float(grid.y_centers[-1])
+    if kind == "1-d":
+        return grid.x_centers, float(grid.y_centers[0])
+    return grid.cell_grid()
+
+
+links = st.builds(
+    lambda f, r_tx, r_rx, theta0_deg: make_scenario(f=f, r_tx=r_tx, r_rx=r_rx,
+                                                    theta0_deg=theta0_deg),
+    f=st.floats(3.5e9, 60e9), r_tx=st.floats(5.0, 50.0), r_rx=st.floats(5.0, 50.0),
+    theta0_deg=st.just(-0.0) | st.floats(0.0, 60.0))
+lattices = st.tuples(links, st.integers(1, 60), st.sampled_from(["0-d", "1-d", "broadcast"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice=lattices)
+def test_incident_fields_match_the_plain_expression_bit_for_bit(lattice):
+    scenario, cells, kind = lattice
+    x, y = lattice_points(scenario, cells, kind)
+    got = sk.incident_fields(scenario, x, y)
+    want = incident_reference(scenario, x, y)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert all(g.flags.writeable for g in got if isinstance(g, np.ndarray))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices=st.lists(lattices, min_size=2, max_size=3),
+       order=st.lists(st.integers(0, 2), min_size=2, max_size=8))
+def test_interleaved_calls_in_a_scope_match_the_plain_expression(lattices, order):
+    points = [(scenario, *lattice_points(scenario, cells, kind))
+              for scenario, cells, kind in lattices]
+    with shared_incident_fields():
+        for i in order:
+            scenario, x, y = points[i % len(points)]
+            got = sk.incident_fields(scenario, x, y)
+            assert all(same_bits(g, w)
+                       for g, w in zip(got, incident_reference(scenario, x, y)))
+            assert not any(g.flags.writeable for g in got if isinstance(g, np.ndarray))
+
+
+def test_scope_shares_what_the_field_does_not_read(baseline, monkeypatch):
+    _, computed = count_incident_fields(monkeypatch)
+    x, y = sk.discretize(0.2, baseline.pitch).cell_grid()
+    with shared_incident_fields():
+        first = sk.incident_fields(baseline, x, y)
+        for variant in (dataclasses.replace(baseline, r_rx=40.0),
+                        dataclasses.replace(baseline, g_rx=2.0),
+                        dataclasses.replace(baseline, delta=1e-3)):
+            again = sk.incident_fields(variant, x, y)
+            assert all(a is b for a, b in zip(again, first))
+        assert len(computed) == 1
+        for field in first:
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0, 0] = 0.0
+        # another lattice, or another field-defining quantity, is another entry
+        sk.incident_fields(baseline, x, y[:, :-1])
+        sk.incident_fields(dataclasses.replace(baseline, p_tx=0.2), x, y)
+        assert len(computed) == 3
+    # nothing outlives the scope: the next call computes, and writable arrays
+    after = sk.incident_fields(baseline, x, y)
+    assert len(computed) == 4
+    assert all(f.flags.writeable for f in after)
+    assert all(same_bits(a, b) for a, b in zip(after, first))
+
+
+def test_scope_keeps_signed_zero_incidence_apart(monkeypatch):
+    _, computed = count_incident_fields(monkeypatch)
+    plus, minus = make_scenario(theta0_deg=0.0), make_scenario(theta0_deg=-0.0)
+    assert plus == minus     # the dataclass compares 0.0 and -0.0 equal
+    x, y = sk.discretize(0.1, plus.pitch).cell_grid()
+    with shared_incident_fields():
+        got = [sk.incident_fields(s, x, y) for s in (plus, minus, plus, minus)]
+    assert len(computed) == 2
+    for s, fields in zip((plus, minus, plus, minus), got):
+        assert all(same_bits(g, w) for g, w in zip(fields, incident_reference(s, x, y)))
+
+
+def test_a_thread_does_not_see_the_scope_that_started_it(baseline, monkeypatch):
+    _, computed = count_incident_fields(monkeypatch)
+    done = []
+
+    def work():
+        sk.incident_fields(baseline, 0.1, 0.2)
+        sk.incident_fields(baseline, 0.1, 0.2)
+        done.append(True)
+
+    with shared_incident_fields():
+        sk.incident_fields(baseline, 0.1, 0.2)
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive() and done
+    assert len(computed) == 3
 
 
 def test_parse_scenario_roundtrip():

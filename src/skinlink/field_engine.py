@@ -9,9 +9,11 @@ scattered_field (one point) and scattered_field_at_points (chunks) call it.
 It never forms the (points x cells) phasor block. The Fresnel path term
 splits exactly into a row part f(x), a column part g(y) and a cross term
 kappa*x*y, so each point needs P + Q exponentials, and the cross term is a
-short Taylor series over blocks of rows, sized from its phase. The cross term
-vanishes at phi = 0, which covers every receiver_tpa call and the
-longitudinal cut; there the sum is one outer product. A batch is contracted
+short Taylor series over blocks of rows. The block count comes from a batch's
+largest cross-term phase and each point's rank from its own, so a point
+leaves the contractions after its last term. The cross term vanishes at
+phi = 0, which covers every receiver_tpa call and the longitudinal cut;
+there a point's sum is one outer product. A batch is contracted
 with matrix products, a single point with numpy's pairwise sums, so that one
 point never wakes the BLAS threads. Only the current components with a
 nonzero cell are contracted: every screen's je_x is zero by construction
@@ -193,13 +195,17 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     blocks centred at x0; kappa*x0*y folds into each block's b, and the rest
     is sum_n (j k kappa hx hy)^n / n! * u^n v^n with u = (x - x0)/hx and
     v = y/hy in [-1, 1], where hx is the blocks' half-span and hy = L/2. The
-    block count is ceil(t) of the whole panel, so that t = |k kappa| hx hy
-    <= 1 rad in every block for every point of the batch, and the rank R is
-    the smallest with t^R / R! <= 1e-16 (R = 19 at 1 rad). Where kappa is 0
-    (phi = 0: every receiver_tpa call and the longitudinal cut) that is one
-    block of rank 1, the outer product a b; where kappa is at rounding level
-    (phi = pi or +-pi/2, whose sine or cosine is about 1e-16) it is one block
-    of rank 1 or 2.
+    block count is ceil(t) of the whole panel at the batch's largest |kappa|,
+    so that t = |k kappa| hx hy <= 1 rad in every block for every point of
+    the batch. The rank is per point: the smallest R with t^R / R! <= 1e-16
+    at that point's own t (R = 19 at 1 rad). The points are ordered by
+    |kappa|, largest first, so term n is contracted over the prefix of points
+    whose rank exceeds n: a point leaves the contractions after its last
+    term, and the sums go back in input order. Where kappa is 0 (phi = 0: every
+    receiver_tpa call and the longitudinal cut) a point has rank 1, and a
+    batch of such points is one block, the outer product a b; where kappa is
+    at rounding level (phi = pi or +-pi/2, whose sine or cosine is about
+    1e-16) the rank is 1 or 2.
 
     Only the components with a nonzero cell are contracted (je_y, jm_x and
     jm_y of a skin; je_y alone of a conducting screen; je_x, which
@@ -222,12 +228,7 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     w_theta, w_phi = bracket_weights(theta, phi)
 
     x, y = grid.x_centers, grid.y_centers
-    r, st, ct, sp, cp = (v[:, None] for v in (r, st, ct, sp, cp))
     kappa = st * st * sp * cp / r
-    a = np.exp(1j * k * path_term(x, r, st, ct, cp, sp))
-    g = path_term(y, r, st, ct, sp, cp)
-    live = [(i, col) for i, col in enumerate((currents.je_x, currents.je_y,
-                                               currents.jm_x, currents.jm_y)) if col.any()]
 
     p_count = grid.p_count
     hy = grid.side_l / 2.0
@@ -236,11 +237,21 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     # t_panel is not finite only for r near 0; blocks of one row are exact for any kappa
     blocks = min(p_count, max(1, math.ceil(t_panel))) if math.isfinite(t_panel) else p_count
     rows = -(-p_count // blocks)
-    t = k_kappa * (rows - 1) * grid.pitch / 2.0 * hy
-    rank, term = 1, t
-    while term > _TAYLOR_TOL:
-        rank += 1
-        term *= t / rank
+    # largest |kappa| first (one point is in order already)
+    order = np.argsort(-np.abs(kappa), kind="stable") if kappa.size > 1 else slice(None)
+    r, st, ct, sp, cp, kappa = (v[order, None] for v in (r, st, ct, sp, cp, kappa))
+    # kappa first: k |kappa| alone may overflow near r = 0, where rows = 1 and t = 0
+    t = np.abs(kappa[:, 0]) * (k * (rows - 1) * grid.pitch / 2.0 * hy)
+    # prefix[n] counts the points whose rank exceeds n; term = t^R / R! grows with t,
+    # so those points lead the batch
+    prefix, term = [t.size], t
+    while m := np.count_nonzero(term > _TAYLOR_TOL):
+        prefix.append(m)
+        term = term[:m] * (t[:m] / len(prefix))
+    a = np.exp(1j * k * path_term(x, r, st, ct, cp, sp))
+    g = path_term(y, r, st, ct, sp, cp)
+    live = [(i, col) for i, col in enumerate((currents.je_x, currents.je_y,
+                                               currents.jm_x, currents.jm_y)) if col.any()]
 
     sums = np.zeros((r.shape[0], 4), dtype=complex)
     for start in range(0, p_count, rows):
@@ -248,12 +259,13 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
         x0 = (x[blk][0] + x[blk][-1]) / 2.0
         a_n = a[:, blk]
         b_n = np.exp(1j * k * (g + kappa * x0 * y))
-        for n in range(rank):
+        for n, m in enumerate(prefix):
             if n:  # term n of the series, split as (j k kappa hy (x - x0))^n / n! * (y/hy)^n
-                a_n = a_n * (1j * k * hy / n) * kappa * (x[blk] - x0)
-                b_n = b_n * (y / hy)
+                a_n = a_n[:m] * (1j * k * hy / n) * kappa[:m] * (x[blk] - x0)
+                b_n = b_n[:m] * (y / hy)
             for i, col in live:
-                sums[:, i] += _contract(a_n, col[blk], b_n)
+                sums[:m, i] += _contract(a_n, col[blk], b_n)
+    sums[order] = sums.copy()     # row j held point order[j]
 
     # a field past float range becomes inf or nan here, which received_power rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -283,7 +295,8 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
     centre inside float range; GeometryError otherwise. No Fresnel check is
     applied here; callers sampling maps validate their cut definition instead.
     Points are summed _POINT_CHUNK at a time, which bounds the per-point
-    factor arrays.
+    factor arrays; each chunk is ordered internally by the cross-term
+    coefficient |kappa| (_cell_sum), and the results come back in input order.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(pts)):

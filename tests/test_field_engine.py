@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.field_engine import format_length, path_term
+from skinlink.field_engine import _POINT_CHUNK, format_length, path_term
 
 from helpers import beta, make_scenario, quadrature_oracle
 
@@ -375,6 +375,12 @@ _COMPONENTS = ("je_x", "je_y", "jm_x", "jm_y")
 @example(cells=12, points=[(2.0, 0.7, 0.4)] * 7, seed=0, zeroed=[True] * 4)
 @example(cells=12, points=[(2.0, 0.7, 0.4)] * 7, seed=0,  # a conducting screen's
          zeroed=[True, False, True, True])                # components
+@example(cells=60, seed=0, zeroed=[False] * 4,            # a rank-1 point (phi = 0)
+         points=[(2.0, 0.9, 0.8), (2.0, 0.9, 0.0), (2.0, 1.2, -0.7), (3.0, 1.4, 2.3),
+                 (2.0, 1.0, 0.0), (2.5, 1.3, -2.4), (2.0, 1.1, 0.9)])  # among full ranks
+@example(cells=60, seed=1, zeroed=[False] * 4,            # two equal points tie in the
+         points=[(3.0, 1.0, 0.5), (2.0, 1.2, 0.8), (3.0, 1.0, 0.5), (8.0, 0.4, 1.9),  # rank order
+                 (2.0, 0.9, -0.8), (40.0, 0.3, 0.2), (2.0, 1.2, 0.8)])
 def test_kernel_matches_dense_exponentials(count, cells, points, seed, zeroed):
     """The separable kernel matches one exp(j k beta) per cell, point by point and
     batched, with any set of all-zero current components (which it skips)."""
@@ -405,6 +411,48 @@ def test_kernel_matches_dense_exponentials(count, cells, points, seed, zeroed):
         assert abs(value - ref) <= 1e-12 * scale
     if all(zeroed):
         assert all(value == 0.0 for value, _ in checks)
+
+
+def test_mixed_rank_batch_matches_single_points_in_any_order():
+    """One batch of more than one chunk mixes Taylor ranks: large |kappa| near the
+    panel, kappa = 0 at phi = 0 and duplicated points (ties in the rank order).
+    Given in ascending, descending or shuffled |kappa| order, each value matches
+    its own single-point sum, and a permuted batch gives the permuted values."""
+    grid = sk.discretize(40 * DELTA, DELTA)
+    currents = random_currents(grid, seed=11)
+    rng = np.random.default_rng(11)
+    n = _POINT_CHUNK + 60
+    m = rng.uniform(2.0, 50.0, n)                # distance in panel sides
+    theta = rng.uniform(0.2, math.pi / 2, n)
+    phi = rng.uniform(-math.pi, math.pi, n)
+    m[:80] = rng.uniform(2.0, 3.0, 80)           # near the panel, phi about +-pi/4
+    phi[:80] = rng.uniform(0.6, 1.0, 80) * rng.choice([-1.0, 1.0], 80)
+    phi[::5] = 0.0
+    pts = np.array([cartesian(sk.ObservationPoint(r=mi * grid.side_l, theta=ti, phi=fi))
+                    for mi, ti, fi in zip(m, theta, phi)])
+    pts[1::9] = pts[0::9][:pts[1::9].shape[0]]
+    derived = spherical(pts)
+    r, theta, phi = derived.T
+    kappa = np.abs(np.sin(theta) ** 2 * np.sin(phi) * np.cos(phi) / r)
+    assert np.count_nonzero(kappa == 0.0) >= n // 5
+
+    singles = []
+    for row in derived:
+        single = sk.scattered_field(currents, sk.ObservationPoint(*map(float, row)), LAMBDA,
+                                    fresnel="off")
+        singles.append((single.e_theta, single.e_phi))
+    singles = np.array(singles)
+    scale = np.abs(singles).max()
+    ascending = np.argsort(kappa, kind="stable")
+    results = []
+    for order in (ascending, ascending[::-1], rng.permutation(n)):
+        e_theta, e_phi = sk.scattered_field_at_points(currents, pts[order], LAMBDA)
+        values = np.empty((n, 2), dtype=complex)
+        values[order] = np.stack([e_theta, e_phi], axis=1)
+        assert np.abs(values - singles).max() <= 1e-12 * scale
+        results.append(values)
+    for values in results[1:]:
+        assert np.abs(values - results[0]).max() <= 1e-14 * scale
 
 
 def test_cut_map_zero_currents(baseline):

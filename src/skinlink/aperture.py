@@ -131,6 +131,16 @@ def export_layout(d: DescriptorVector, grid: ApertureGrid, scenario) -> str:
             + meta_text + "\n}\n")
 
 
+class _TokenFloats(dict):
+    """float(token), json's own conversion, made once per distinct number token:
+    a synthesized layout repeats a few thousand table geometries, and its cells
+    share one float per geometry."""
+
+    def __missing__(self, token):
+        value = self[token] = float(token)
+        return value
+
+
 def import_layout(text: str):
     """Parse an export_layout document; returns (DescriptorVector, meta dict).
 
@@ -138,10 +148,12 @@ def import_layout(text: str):
     numbers with L_m = P*delta_m (to 1e-12 relative), and B, if present, 1.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_TokenFloats().__getitem__)
         meta = doc["meta"]
         # np.asarray would promote a true among numbers to 1.0, so look first
-        has_bool = bool in set(map(type, itertools.chain.from_iterable(doc["cells"])))
+        # wherever the text holds a JSON boolean
+        has_bool = (("true" in text or "false" in text) and bool in set(
+            map(type, itertools.chain.from_iterable(doc["cells"]))))
         cells = np.asarray(doc["cells"])
         sizes = meta["L_m"], meta["delta_m"]   # TypeError for a meta that is no object
         b_count = meta.get("B", 1)

@@ -210,6 +210,14 @@ class EmsPanel:
         self.table.check_range(self.d.values)
 
 
+_ZERO = np.zeros((), complex)     # the one complex 0 that every all-zero component views
+
+
+def _is_scalar(gamma, value) -> bool:
+    """True where gamma is a scalar equal to value, so 1 - gamma or 1 + gamma is 0."""
+    return np.ndim(gamma) == 0 and gamma == value
+
+
 def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
                         gamma_xx, gamma_yy) -> SurfaceCurrents:
     """Equivalent surface currents of cells with the given reflection tensor.
@@ -230,11 +238,20 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     jm_x = -(1 + gamma_yy) E_y, jm_y = (1 + gamma_xx) E_x, gamma broadcast over the
     cells. je_x = (gamma_xx - 1) H_y is zero by construction: the incident H of a
     y-polarized source has no y component, so incident_fields does not return it.
+    A component that is zero by construction (je_x, and a product whose scalar
+    factor is 0, such as 1 + gamma of a conducting screen's gamma = -1) is the
+    shared zero, a read-only view of one complex 0 broadcast to (P, P) with
+    strides (0, 0); the others are the products above, bit for bit.
     """
     e_x, e_y, h_x = incident_fields(scenario, *grid.cell_grid())
-    return SurfaceCurrents(je_x=np.zeros(h_x.shape, complex), je_y=(1.0 - gamma_yy) * h_x,
-                           jm_x=-(1.0 + gamma_yy) * e_y, jm_y=(1.0 + gamma_xx) * e_x,
-                           grid=grid)
+    zero = np.broadcast_to(_ZERO, h_x.shape)
+    # each product is one expression, so numpy reuses its factor's temporary
+    return SurfaceCurrents(
+        je_x=zero,
+        je_y=zero if _is_scalar(gamma_yy, 1.0) else (1.0 - gamma_yy) * h_x,
+        jm_x=zero if _is_scalar(gamma_yy, -1.0) else -(1.0 + gamma_yy) * e_y,
+        jm_y=zero if _is_scalar(gamma_xx, -1.0) else (1.0 + gamma_xx) * e_x,
+        grid=grid)
 
 
 def ideal_current_phases(grid: ApertureGrid, scenario: LinkScenario) -> np.ndarray:

@@ -18,9 +18,10 @@ with matrix products, a single point with numpy's pairwise sums, so that one
 point never wakes the BLAS threads. Only the current components with a
 nonzero cell are contracted: every screen's je_x is zero by construction
 (reflection_currents; a y-polarized source has no incident H_y), and a
-conducting screen (gamma = -1) carries no magnetic current either. path_term
-is the one path-term expression: the kernel's row and column parts, and the
-phase-conjugation targets that synthesis conjugates.
+conducting screen (gamma = -1) carries no magnetic current either; each such
+component is one shared read-only zero broadcast over the cells, not an array
+of zeros. path_term is the one path-term expression: the kernel's row and
+column parts, and the phase-conjugation targets that synthesis conjugates.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ class SurfaceCurrents:
     """Per-cell complex current coefficients on an aperture grid.
 
     je_* are electric [A/m] and jm_* magnetic [V/m] surface-current expansion
-    coefficients, all shaped (P, P) and indexed [p, q].
+    coefficients, all shaped (P, P) and indexed [p, q]. A component may be a
+    read-only view, among them the shared zero (strides (0, 0)) that
+    reflection_currents gives each component that is zero by construction,
+    so callers must not write into currents.
     """
 
     je_x: np.ndarray
@@ -208,10 +212,10 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     1e-16) the rank is 1 or 2.
 
     Only the components with a nonzero cell are contracted (je_y, jm_x and
-    jm_y of a skin; je_y alone of a conducting screen; je_x, which
-    reflection_currents builds as zeros, of neither). Skipping the others is
-    exact: their contractions would be signed zeros, since the phasors are
-    finite, and their column sums start at +0, which +0 + (+-0) = +0 keeps.
+    jm_y of a skin; je_y alone of a conducting screen; je_x, the shared zero
+    of reflection_currents, of neither). Skipping the others is exact: their
+    contractions would be signed zeros, since the phasors are finite, and
+    their column sums start at +0, which +0 + (+-0) = +0 keeps.
 
     The (N, 4) current-column sums are projected onto each point's
     theta-hat/phi-hat bracket weights under the prefactor with the per-cell

@@ -2,8 +2,9 @@
 the unsplit path term that cross-checks path_term, the full-vector incident-field
 oracle that cross-checks incident_fields, the plain incident-field expression
 that incident_fields must match bit for bit, a counter of its calls and
-computations, and the sub-patch quadrature oracle that cross-checks the
-closed-form cell sum."""
+computations, the plain current expressions that reflection_currents must match,
+the passive bound on a grid's path attenuation, and the sub-patch quadrature
+oracle that cross-checks the closed-form cell sum."""
 
 import math
 
@@ -90,6 +91,38 @@ def incident_reference(scenario, x, y):
     u = amp * np.exp(-1j * (2.0 * math.pi / scenario.wavelength) * d) / (d * rho)
     u_d = u / d
     return u_d * (-py * px), u_d * (rho * rho), u * (-pz / ETA0)
+
+
+def currents_reference(grid, scenario, gamma_xx, gamma_yy):
+    """reflection_currents as four plain arrays: je_x as np.zeros and the three
+    products, each allocating its result, in the order reflection_currents
+    must reproduce bit for bit wherever its component is not the shared zero.
+    Returns (je_x, je_y, jm_x, jm_y)."""
+    e_x, e_y, h_x = sk.incident_fields(scenario, *grid.cell_grid())
+    return (np.zeros(h_x.shape, complex), (1.0 - gamma_yy) * h_x,
+            -(1.0 + gamma_yy) * e_y, (1.0 + gamma_xx) * e_x)
+
+
+def passive_bound(scenario, grid) -> float:
+    """A_pass: a path attenuation that no layout of passive cells (|gamma| <= 1)
+    on the grid can exceed at the scenario's receiver, for any table.
+
+    At the receiver (phi = 0) each cell's phasor has unit magnitude under one
+    prefactor of magnitude |K| = pitch^2 sinc(pi pitch sin(theta0)/lambda)
+    / (2 lambda r_rx). The phi-hat bracket eta je_y + cos(theta0) jm_x
+    = (eta h_x - cos e_y) - gamma_yy (eta h_x + cos e_y) is at most
+    m = |eta h_x - cos e_y| + |eta h_x + cos e_y| in magnitude, and the
+    theta-hat bracket jm_y = (1 + gamma_xx) e_x at most 2|e_x|, so the
+    triangle inequality bounds |E_phi| by |K| sum m and |E_theta| by
+    |K| sum 2|e_x|, and A_pass is received_power of those over p_tx.
+    """
+    e_x, e_y, h_x = sk.incident_fields(scenario, *grid.cell_grid())
+    lam, ct = scenario.wavelength, math.cos(scenario.theta0)
+    m = np.abs(ETA0 * h_x - ct * e_y) + np.abs(ETA0 * h_x + ct * e_y)
+    k_abs = (grid.pitch**2 / (2.0 * lam * scenario.r_rx)
+             * abs(float(sinc(math.pi * grid.pitch * math.sin(scenario.theta0) / lam))))
+    e_sq = (k_abs * m.sum()) ** 2 + (k_abs * 2.0 * np.abs(e_x).sum()) ** 2
+    return lam**2 * scenario.g_rx * e_sq / (8.0 * math.pi * ETA0 * scenario.p_tx)
 
 
 def count_incident_fields(monkeypatch):

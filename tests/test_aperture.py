@@ -151,6 +151,30 @@ def test_export_layout_matches_json_encoder(n, pool, data, f_hz):
     assert sk.export_layout(d, grid, scenario) == expected
 
 
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 8), pool=st.lists(_LAYOUT_VALUES, min_size=1, max_size=6),
+       data=st.data())
+def test_layout_round_trip_is_bit_exact(n, pool, data):
+    # cells repeat a few values, as a synthesized layout's do; each must read
+    # back with its bits, -0.0 and subnormals included
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n,
+                               max_size=n * n))
+    values = np.array([pool[i] for i in picks]).reshape(n, n)
+    grid = sk.ApertureGrid(pitch=0.01, p_count=n)
+    text = sk.export_layout(sk.DescriptorVector(values=values), grid, SCENARIO)
+    d, meta = sk.import_layout(text)
+    assert np.array_equal(d.values.view(np.int64), values.view(np.int64))
+    assert meta == json.loads(text)["meta"]
+
+
+def test_import_layout_reads_a_meta_string_true():
+    # the text holds "true", so the boolean scan runs, and finds no boolean cell
+    meta = {"f_hz": 27e9, "L_m": 9 * 0.005, "delta_m": 0.005, "B": 1, "scenario_hash": "true"}
+    d, read = sk.import_layout(json.dumps({"meta": meta, "cells": [[1e-3] * 9] * 9}))
+    assert read == meta
+    assert d.values.shape == (9, 9) and np.all(d.values == 1e-3)
+
+
 @pytest.mark.parametrize("meta", [
     {"f_hz": 27e9, "delta_m": 5.556e-3, "B": 1},                 # no L_m
     [0.05],                                                       # not an object

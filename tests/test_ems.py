@@ -1,6 +1,8 @@
 """Lookup table, sheet currents, phase-conjugation synthesis and skin TPA."""
 
 import math
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 import skinlink as sk
 from skinlink.ems import _PHASE_BINS, _binned_candidate, _nearest_candidate, _phase_bin_index
 from skinlink.field_engine import path_term
+from skinlink.scenario import shared_incident_fields
 
-from helpers import (beta, make_scenario, spherical_wave_fields, subsampled_table,
-                     table_csv)
+from helpers import (beta, currents_reference, make_scenario, passive_bound,
+                     spherical_wave_fields, subsampled_table, table_csv)
 
 
 # --- phase wrapping -------------------------------------------------------
@@ -203,6 +206,82 @@ def test_y_polarized_wave_drives_no_je_x(baseline, table):
                      sk.gstc_currents(panel, baseline)):
         assert currents.je_x.shape == (180, 180)
         assert np.all(currents.je_x == 0.0)
+
+
+def _is_shared_zero(component):
+    """A read-only view with strides (0, 0): one value broadcast over the cells."""
+    return component.strides == (0, 0) and not component.flags.writeable
+
+
+_PASSIVE = st.builds(lambda mag, phase: mag * complex(math.cos(phase), math.sin(phase)),
+                     st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+_SCALAR_GAMMA = st.one_of(
+    st.sampled_from([-1.0, 1.0, 0.0, -1, -1.0 + 0.0j, complex(-1.0, -0.0)]),
+    _PASSIVE, st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _gamma(draw, cells):
+    """A scalar gamma, or a (cells, cells) complex or float array with some
+    cells exactly -1."""
+    if draw(st.booleans()):
+        return draw(_SCALAR_GAMMA)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.uniform(0.0, 1.0, (cells, cells)) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, (cells, cells)))
+    if draw(st.booleans()):
+        gamma = gamma.real.copy()
+    gamma[rng.uniform(size=gamma.shape) < 0.3] = -1.0
+    return gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.integers(1, 12), data=st.data(), scoped=st.booleans())
+def test_reflection_currents_match_the_plain_expressions(cells, data, scoped):
+    # a component that is zero by construction is the shared zero, equal by
+    # value (its sign is not kept); every other component matches bit for bit
+    scenario = make_scenario()
+    grid = sk.ApertureGrid(pitch=scenario.pitch, p_count=cells)
+    gamma_xx, gamma_yy = data.draw(_gamma(cells)), data.draw(_gamma(cells))
+    with shared_incident_fields() if scoped else nullcontext():
+        currents = sk.reflection_currents(grid, scenario, gamma_xx, gamma_yy)
+        reference = currents_reference(grid, scenario, gamma_xx, gamma_yy)
+    components = (currents.je_x, currents.je_y, currents.jm_x, currents.jm_y)
+    factors = (0.0, 1.0 - gamma_yy, -(1.0 + gamma_yy), 1.0 + gamma_xx)
+    for component, expected, factor in zip(components, reference, factors):
+        assert component.shape == expected.shape == (cells, cells)
+        np.testing.assert_array_equal(component, expected)
+        assert _is_shared_zero(component) == (np.ndim(factor) == 0 and factor == 0)
+        if not _is_shared_zero(component):
+            assert np.array_equal(component.view(np.int64), expected.view(np.int64))
+
+
+def test_zero_components_hold_no_cells(baseline):
+    # on a 200 x 200 lattice whose field the scope memo already holds, building
+    # a screen's currents allocates about its one array (je_y) and a skin's its
+    # three; the zero components are one read-only complex 0 broadcast over the cells
+    grid = sk.ApertureGrid(pitch=baseline.pitch, p_count=200)
+    array_bytes = grid.cell_count * np.dtype(complex).itemsize
+    rng = np.random.default_rng(3)
+    gxx, gyy = (np.exp(1j * rng.uniform(-math.pi, math.pi, (200, 200))) for _ in range(2))
+    builds = ((lambda: sk.pcs_currents(sk.PcsPanel(grid=grid), baseline), 1.1,
+               ("je_x", "jm_x", "jm_y")),
+              (lambda: sk.reflection_currents(grid, baseline, gxx, gyy), 3.1, ("je_x",)))
+    with shared_incident_fields():
+        sk.incident_fields(baseline, *grid.cell_grid())
+        for build, arrays, zeros in builds:
+            tracemalloc.start()
+            try:
+                currents = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * array_bytes
+            for name in ("je_x", "je_y", "jm_x", "jm_y"):
+                assert _is_shared_zero(getattr(currents, name)) == (name in zeros)
+            for name in zeros:
+                with pytest.raises(ValueError):
+                    getattr(currents, name)[0, 0] = 1.0
 
 
 def test_magnetic_wall_gamma(baseline):
@@ -561,6 +640,12 @@ def test_upper_bound_grazing_limit(baseline):
 def test_bound_dominance_over_sweep(sweep19):
     for row in sweep19:
         assert row.a_ems <= row.a_opt * 1.12
+
+
+def test_sweep_rows_stay_below_the_passive_bound(sweep19, baseline):
+    for row in sweep19:
+        bound = passive_bound(baseline, sk.discretize(row.value, baseline.pitch))
+        assert row.a_ems <= bound * (1 + 1e-12) and row.a_pcs <= bound * (1 + 1e-12)
 
 
 def test_propagation_route_matches_coherent_closed_form(baseline):

@@ -1,4 +1,4 @@
-"""Property tests over random link geometries, on panels of at most 400 cells
+"""Property tests over random link geometries, on panels of at most 900 cells
 (one explicit example has 1,296), and how a failing property is reported."""
 
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import skinlink as sk
 
-from helpers import make_scenario, quadrature_oracle, spherical_wave_fields
+from helpers import make_scenario, passive_bound, quadrature_oracle, spherical_wave_fields
 
 TABLE = sk.synthetic_table()
 PEC = sk.ReflectionLookupTable(g=np.array([1.0e-3, 2.0e-3]),
@@ -91,6 +91,53 @@ def test_skin_stays_below_the_ideal_bound(f, r_tx, r_rx, theta0_deg, cells):
     a_ems = sk.receiver_tpa(sk.gstc_currents(panel, scenario), scenario)
     a_opt = sk.ems_upper_bound_tpa(scenario, panel.grid.side_l)
     assert sk.db(a_ems) <= sk.db(a_opt) + 0.5
+
+
+passive_link = dict(f=st.floats(3.5e9, 60e9), r_tx=st.floats(5.0, 50.0),
+                    r_rx=st.floats(5.0, 50.0), theta0_deg=st.floats(0.0, 60.0),
+                    cells=st.integers(1, 30))
+
+
+def _passive(rng, shape):
+    """Random reflection coefficients with |gamma| <= 1: random phases, about half
+    of unit magnitude and the rest lossy, down to fully absorbing."""
+    mag = np.where(rng.uniform(size=shape) < 0.5, 1.0, rng.uniform(0.0, 1.0, shape))
+    return mag * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
+
+
+@st.composite
+def passive_tables(draw):
+    """A random passive table of 2 to 8 entries spanning 0.1 to 1 mm of geometry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    lo = draw(st.floats(0.3e-3, 4.0e-3))
+    g = np.linspace(lo, lo + draw(st.floats(0.1e-3, 1.0e-3)), n)
+    return sk.ReflectionLookupTable(g=g, gamma_xx=_passive(rng, n), gamma_yy=_passive(rng, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=passive_tables(), **passive_link)
+def test_skin_and_screen_stay_below_the_passive_bound(table, f, r_tx, r_rx, theta0_deg,
+                                                      cells):
+    # A_pass bounds every passive layout of the grid with no slack beyond rounding
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    side = cells * scenario.pitch
+    panel, _ = sk.design_panel(scenario, side, table)
+    bound = passive_bound(scenario, panel.grid)
+    assert sk.receiver_tpa(sk.gstc_currents(panel, scenario), scenario) <= bound * (1 + 1e-12)
+    assert sk.pcs_tpa(scenario, side) <= bound * (1 + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), **passive_link)
+def test_per_cell_passive_gamma_stays_below_the_passive_bound(seed, f, r_tx, r_rx,
+                                                              theta0_deg, cells):
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    grid = sk.discretize(cells * scenario.pitch, scenario.pitch)
+    rng = np.random.default_rng(seed)
+    gamma_xx, gamma_yy = (_passive(rng, (cells, cells)) for _ in range(2))
+    currents = sk.reflection_currents(grid, scenario, gamma_xx, gamma_yy)
+    assert sk.receiver_tpa(currents, scenario) <= passive_bound(scenario, grid) * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -157,7 +157,7 @@ def import_layout(text: str):
         cells = np.asarray(doc["cells"])
         sizes = meta["L_m"], meta["delta_m"]   # TypeError for a meta that is no object
         b_count = meta.get("B", 1)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise LayoutError(f"malformed layout document: {exc!r}") from exc
     # not bools; an exact comparison, so an int too large for a float fails too
     if not all(type(v) in (int, float) and 0.0 < v <= sys.float_info.max for v in sizes):

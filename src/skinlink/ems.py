@@ -12,9 +12,7 @@ and gamma = +1 to the magnetic-wall limit.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -165,31 +163,28 @@ _TABLE_HEADER = ["g_m", "re_gamma_xx", "im_gamma_xx", "re_gamma_yy", "im_gamma_y
 
 def load_reflection_table(path) -> ReflectionLookupTable:
     """Load an ASCII CSV table (header g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy)."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="ascii") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not ASCII text (byte {exc.start})") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("empty reflection table") from None
-    if [h.strip() for h in header] != _TABLE_HEADER:
+    lines = text.splitlines()
+    if not lines:
+        raise ConfigError("empty reflection table")
+    if [h.strip() for h in lines[0].split(",")] != _TABLE_HEADER:
         raise ConfigError(f"bad table header, expected {','.join(_TABLE_HEADER)}")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
+        row = line.split(",")
         if len(row) != 5:
             raise ConfigError(f"line {lineno}: expected 5 columns")
         try:
             rows.append([float(v) for v in row])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    if len(rows) < 2:
-        raise ConfigError("reflection table needs at least two entries")
-    data = np.asarray(rows)
+    data = np.array(rows, dtype=float).reshape(-1, 5)
     return ReflectionLookupTable(
         g=data[:, 0],
         gamma_xx=data[:, 1] + 1j * data[:, 2],

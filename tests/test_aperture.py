@@ -223,6 +223,12 @@ def test_import_layout_rejects_what_it_would_misread(meta, cells):
         sk.import_layout(json.dumps(doc))
 
 
+def test_import_layout_rejects_a_document_nested_past_the_decoder_depth():
+    doc = '{"cells": ' + "[" * 100000 + "]" * 100000 + ', "meta": {}}'
+    with pytest.raises(sk.LayoutError, match="malformed layout document: RecursionError"):
+        sk.import_layout(doc)
+
+
 def ring_count(matrix, g_lo, g_hi):
     n = matrix.shape[0]
     half = n - n // 2

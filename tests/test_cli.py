@@ -156,6 +156,32 @@ def test_design_with_table_csv(scenario_file, tmp_path):
     assert (out / "layout.json").exists()
 
 
+def test_design_reads_a_bare_cr_table_as_its_newline_copy(scenario_file, tmp_path, capsys):
+    text = table_csv(subsampled_table(4))
+    for name, line_end in [("lf", "\n"), ("cr", "\r")]:
+        (tmp_path / f"{name}.csv").write_bytes(text.replace("\n", line_end).encode("ascii"))
+        code = main(["design", "--scenario", scenario_file, "--side-l", "0.1",
+                     "--table", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)])
+        assert code == 0
+    assert capsys.readouterr().err == ""
+    assert _tree(tmp_path / "cr") == _tree(tmp_path / "lf")
+
+
+def test_design_quoted_table_field_exit(scenario_file, tmp_path, capsys):
+    lines = table_csv(subsampled_table(4)).splitlines()
+    lines[1] = ",".join(f'"{v}"' for v in lines[1].split(","))
+    table_path = tmp_path / "quoted.csv"
+    table_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "q"
+    code = main(["design", "--scenario", scenario_file, "--side-l", "0.1",
+                 "--table", str(table_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: could not convert string to float: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_csv_and_markers(scenario_file, tmp_path):
     out = tmp_path / "sw"
     code = main(["sweep", "--scenario", scenario_file, "--variable", "side_l",

@@ -57,6 +57,8 @@ def test_table_validation():
         sk.ReflectionLookupTable(g=g, gamma_xx=2.0 * ok, gamma_yy=ok)
     with pytest.raises(sk.ConfigError):
         sk.ReflectionLookupTable(g=g[:1], gamma_xx=ok[:1], gamma_yy=ok[:1])
+    with pytest.raises(sk.ConfigError, match="columns must share one length"):
+        sk.ReflectionLookupTable(g=g, gamma_xx=ok, gamma_yy=ok[:1])
 
 
 def test_table_columns_are_read_only_copies():
@@ -99,6 +101,30 @@ def test_table_csv_validation(tmp_path):
                               f"1e-3,1,0,1,0\n2e-3,1,0,{bad},0\n")
         with pytest.raises(sk.ConfigError):
             sk.load_reflection_table(non_finite)
+    header = "g_m,re_gamma_xx,im_gamma_xx,re_gamma_yy,im_gamma_yy"
+    for name, text, message in [
+            ("empty", "", "empty reflection table"),
+            ("header_only", f"{header}\n", "reflection table needs at least two entries"),
+            ("one_row", f"{header}\n1e-3,1,0,1,0\n", "reflection table needs at least two entries"),
+            ("four_columns", f"{header}\n1e-3,1,0,1,0\n2e-3,0,1,0\n", "line 3: expected 5 columns"),
+            ("x_number", f"{header}\n1e-3,1,0,1,0\n2e-3,x,1,0,1\n",
+             "line 3: could not convert string to float: 'x'"),
+            # nothing writes quotes: a quoted field is not a number
+            ("quoted", f'{header}\n"1e-3",1,0,1,0\n2e-3,0,1,0,1\n',
+             "line 2: could not convert string to float: '\"1e-3\"'")]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(sk.ConfigError) as info:
+            sk.load_reflection_table(path)
+        assert str(info.value) == message
+    # a blank line between rows is skipped, and bare-CR line ends read as line ends
+    for name, text in [("blank_line", f"{header}\n1e-3,1,0,1,0\n\n2e-3,0,1,0,1\n"),
+                       ("bare_cr", f"{header}\r1e-3,1,0,1,0\r2e-3,0,1,0,1\r")]:
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("ascii"))
+        tab = sk.load_reflection_table(path)
+        assert tab.g.tolist() == [1e-3, 2e-3]
+        assert tab.gamma_xx.tolist() == tab.gamma_yy.tolist() == [1 + 0j, 1j]
 
 
 def test_gamma_lookup_range(table):

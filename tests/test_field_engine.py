@@ -96,6 +96,14 @@ def test_non_finite_points_rejected():
             pts[1, axis] = bad
             with pytest.raises(sk.GeometryError, match="must be finite"):
                 sk.scattered_field_at_points(currents, pts, LAMBDA)
+    grid = currents.grid
+    wide = np.zeros((grid.p_count, grid.p_count + 1), complex)
+    with pytest.raises(sk.GeometryError, match=r"jm_x shape \(4, 5\) != grid shape \(4, 4\)"):
+        dataclasses.replace(currents, jm_x=wide)
+    nan_cell = currents.je_y.copy()
+    nan_cell[2, 1] = math.nan
+    with pytest.raises(sk.GeometryError, match="je_y contains non-finite values"):
+        dataclasses.replace(currents, je_y=nan_cell)
 
 
 def test_scattered_zero_currents():

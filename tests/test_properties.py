@@ -140,6 +140,28 @@ def test_per_cell_passive_gamma_stays_below_the_passive_bound(seed, f, r_tx, r_r
     assert sk.receiver_tpa(currents, scenario) <= passive_bound(scenario, grid) * (1 + 1e-12)
 
 
+@settings(max_examples=50, deadline=None)
+@given(fraction=st.floats(0.0, 1.0), f=passive_link["f"], r_tx=passive_link["r_tx"],
+       r_rx=passive_link["r_rx"], theta0_deg=passive_link["theta0_deg"])
+def test_arm_swap_moves_screen_and_skin_tpa_by_at_most_a_hundredth_db(fraction, f, r_tx,
+                                                                       r_rx, theta0_deg):
+    """Swapping r_tx and r_rx moves the screen's TPA, and the TPA of one skin
+    layout synthesized on the original link, by at most 0.01 dB wherever both
+    arms are at least fresnel_min_distance of the panel."""
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    swapped = make_scenario(f=f, r_tx=r_rx, r_rx=r_tx, theta0_deg=theta0_deg)
+    # whole cells, at most 30, below the Fresnel side of the nearer arm
+    nearer = scenario if r_rx <= r_tx else swapped
+    cells = max(1, int(fraction * min(30.0, sk.l_fresnel(nearer) / scenario.pitch)))
+    side = cells * scenario.pitch
+    assert sk.fresnel_min_distance(side, scenario.wavelength) <= min(r_tx, r_rx)
+    a_pcs = [sk.db(sk.pcs_tpa(s, side)) for s in (scenario, swapped)]
+    assert abs(a_pcs[1] - a_pcs[0]) <= 0.01
+    panel, _ = sk.design_panel(scenario, side, TABLE)
+    a_ems = [sk.db(sk.receiver_tpa(sk.gstc_currents(panel, s), s)) for s in (scenario, swapped)]
+    assert abs(a_ems[1] - a_ems[0]) <= 0.01
+
+
 @settings(max_examples=40, deadline=None)
 @given(**geometry)
 def test_specular_field_has_no_cross_polarization(f, r_tx, r_rx, theta0_deg, cells):

@@ -54,6 +54,13 @@ def test_scenario_validation():
         make_scenario(r_tx=0.0)
     with pytest.raises(sk.DomainError):
         make_scenario(p_tx=-1.0)
+    with pytest.raises(sk.DomainError, match="carrier frequency must be positive"):
+        make_scenario(f=0.0)
+    with pytest.raises(sk.DomainError, match="cell pitch must be positive"):
+        make_scenario(delta=0.0)
+    # (4 pi r_tx r_rx)^2 overflows the float power
+    with pytest.raises(sk.DomainError, match="ideal-skin bound out of float range"):
+        make_scenario(r_tx=1e78, r_rx=1e78)
 
 
 @pytest.mark.parametrize("field", ["f", "p_tx", "g_tx", "g_rx", "r_tx", "r_rx",
@@ -101,6 +108,11 @@ def test_incident_center_magnitude(baseline):
     assert abs(e[2]) < 1e-15 * expected
     # and H lies in the plane of incidence, tangential part cos(theta0) |H|
     assert abs(h_x - e_y * math.cos(baseline.theta0) / sk.ETA0) < 1e-14 * abs(h_x)
+    # a transmitter 1e-170 m above the panel center at normal incidence: p_z^2
+    # underflows, so rho = 0 and the polarization is undefined
+    pinned = make_scenario(theta0_deg=0.0, r_tx=1e-170, r_rx=1e155)
+    with pytest.raises(sk.GeometryError, match="polarization is undefined"):
+        sk.incident_fields(pinned, 0.0, 0.0)
 
 
 def test_incident_spherical_spreading():
@@ -304,6 +316,8 @@ def test_parse_scenario_unknown_key_is_hard_error():
 def test_parse_scenario_reports_bad_value_line():
     with pytest.raises(sk.ConfigError, match="line 2"):
         sk.parse_scenario("f_hz = 27e9\np_tx_w = lots\n")
+    with pytest.raises(sk.ConfigError, match="line 2: expected 'key = value', got 'p_tx_w 0.1'"):
+        sk.parse_scenario("f_hz = 27e9\np_tx_w 0.1\n")
 
 
 def test_parse_scenario_gain_overflow():

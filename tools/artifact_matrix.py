@@ -11,11 +11,12 @@ below 1e-6 m and its L_FR above 1e6 m, so both print in exponent form; its
 received power underflows to 0 and its cut points lie past float range, so
 its designs, side and theta0 sweep rows and cuts end in library errors.
 The inputs are written under OUT as well and passed by relative path, so no
-absolute path reaches an output: four scenario files and four reflection
-tables, a 22-row subsample of the synthetic table, a 2-row table whose
-reflection phases straddle +-pi (its candidates' wrap-around midpoint lies
-at +-pi), a table narrower than the 1 um synthesis step (a single
-candidate) and a 4-row table with gamma_xx != gamma_yy on every row (the
+absolute path reaches an output: four scenario files and five reflection
+tables, a 22-row subsample of the synthetic table, the same subsample with
+bare-CR line ends (its design writes the bytes the first one's does), a
+2-row table whose reflection phases straddle +-pi (its candidates'
+wrap-around midpoint lies at +-pi), a table narrower than the 1 um
+synthesis step (a single candidate) and a 4-row table with gamma_xx != gamma_yy on every row (the
 others mirror the two columns, so only this one tells the gamma_xx pairing
 apart). Two OUT directories made from two checkouts hold the same bytes
 exactly when `diff -r OUT1 OUT2` prints nothing.
@@ -44,6 +45,7 @@ SCENARIOS = {
 }
 
 TABLE = "../../table.csv"     # relative to a command's directory
+CR_TABLE = "../../cr_table.csv"
 WRAP_TABLE = "../../wrap_table.csv"
 NARROW_TABLE = "../../narrow_table.csv"
 ANISO_TABLE = "../../aniso_table.csv"
@@ -64,6 +66,7 @@ COMMANDS = {
     "design_0.8": ["design", "--side-l", "0.8"],
     "design_1.3": ["design", "--side-l", "1.3"],
     "design_0.6_table": ["design", "--side-l", "0.6", "--table", TABLE],
+    "design_0.6_cr_table": ["design", "--side-l", "0.6", "--table", CR_TABLE],
     "sweep_side": ["sweep", "--values", "0.1:1.0:19"],
     "sweep_side_table": ["sweep", "--values", "0.1:1.0:19", "--table", TABLE],
     "sweep_theta0": ["sweep", "--variable", "theta0", "--values", "10,20,30,45",
@@ -82,8 +85,9 @@ COMMANDS = {
 }
 
 
-def write_table(path: Path) -> None:
-    """Every third entry of synthetic_table() (22 rows) as a table CSV."""
+def write_tables(out: Path) -> None:
+    """Every third entry of synthetic_table() (22 rows) as a table CSV, in
+    OUT/table.csv with newline line ends and in OUT/cr_table.csv with bare CRs."""
     from skinlink import synthetic_table
 
     full = synthetic_table()
@@ -91,7 +95,8 @@ def write_table(path: Path) -> None:
     for g, gxx, gyy in zip(full.g[::3], full.gamma_xx[::3], full.gamma_yy[::3]):
         lines.append(",".join(repr(float(v)) for v in (g, gxx.real, gxx.imag,
                                                        gyy.real, gyy.imag)))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    for name, line_end in [("table.csv", "\n"), ("cr_table.csv", "\r")]:
+        (out / name).write_bytes((line_end.join(lines) + line_end).encode("ascii"))
 
 
 def main(argv: list[str]) -> int:
@@ -107,7 +112,7 @@ def main(argv: list[str]) -> int:
         return 2
     out.mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, str(src))
-    write_table(out / "table.csv")
+    write_tables(out)
     for name, rows in FIXED_TABLES.items():
         (out / name).write_text("\n".join([TABLE_HEADER, *rows]) + "\n", encoding="ascii")
     env = dict(os.environ, PYTHONPATH=str(src))

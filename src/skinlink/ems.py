@@ -180,10 +180,13 @@ def load_reflection_table(path) -> ReflectionLookupTable:
         row = line.split(",")
         if len(row) != 5:
             raise ConfigError(f"line {lineno}: expected 5 columns")
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
+        values = []
+        for key, value in zip(_TABLE_HEADER, row):
+            try:
+                values.append(float(value))
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: cannot parse value for {key!r}") from exc
+        rows.append(values)
     data = np.array(rows, dtype=float).reshape(-1, 5)
     return ReflectionLookupTable(
         g=data[:, 0],
@@ -203,9 +206,6 @@ class EmsPanel:
         if self.d.values.shape != (self.grid.p_count, self.grid.p_count):
             raise LayoutError("descriptor cell counts do not match the grid")
         self.table.check_range(self.d.values)
-
-
-_ZERO = np.zeros((), complex)     # the one complex 0 that every all-zero component views
 
 
 def _is_scalar(gamma, value) -> bool:
@@ -232,20 +232,17 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     With n = +z the 1/2 and 2 cancel: je_y = (1 - gamma_yy) H_x,
     jm_x = -(1 + gamma_yy) E_y, jm_y = (1 + gamma_xx) E_x, gamma broadcast over the
     cells. je_x = (gamma_xx - 1) H_y is zero by construction: the incident H of a
-    y-polarized source has no y component, so incident_fields does not return it.
-    A component that is zero by construction (je_x, and a product whose scalar
-    factor is 0, such as 1 + gamma of a conducting screen's gamma = -1) is the
-    shared zero, a read-only view of one complex 0 broadcast to (P, P) with
-    strides (0, 0); the others are the products above, bit for bit.
+    y-polarized source has no y component, so incident_fields does not return it,
+    and SurfaceCurrents holds je_x as the constant 0. A product whose scalar
+    factor is 0, such as 1 + gamma of a conducting screen's gamma = -1, is the
+    scalar 0.0, a component the cells do not carry.
     """
     e_x, e_y, h_x = incident_fields(scenario, *grid.cell_grid())
-    zero = np.broadcast_to(_ZERO, h_x.shape)
     # each product is one expression, so numpy reuses its factor's temporary
     return SurfaceCurrents(
-        je_x=zero,
-        je_y=zero if _is_scalar(gamma_yy, 1.0) else (1.0 - gamma_yy) * h_x,
-        jm_x=zero if _is_scalar(gamma_yy, -1.0) else -(1.0 + gamma_yy) * e_y,
-        jm_y=zero if _is_scalar(gamma_xx, -1.0) else (1.0 + gamma_xx) * e_x,
+        je_y=0.0 if _is_scalar(gamma_yy, 1.0) else (1.0 - gamma_yy) * h_x,
+        jm_x=0.0 if _is_scalar(gamma_yy, -1.0) else -(1.0 + gamma_yy) * e_y,
+        jm_y=0.0 if _is_scalar(gamma_xx, -1.0) else (1.0 + gamma_xx) * e_x,
         grid=grid)
 
 
@@ -350,7 +347,7 @@ def synthesis_mismatch(grid: ApertureGrid, currents: SurfaceCurrents,
     currents and targets must both be shaped like the grid's (P, P) cells.
     """
     shape = (grid.p_count, grid.p_count)
-    if targets.shape != shape or currents.je_y.shape != shape:
+    if targets.shape != shape or np.shape(currents.je_y) != shape:
         raise LayoutError("currents or target phases do not match the grid")
     err = wrap_phase(np.angle(currents.je_y) - targets)
     return float(np.sum(err * err))

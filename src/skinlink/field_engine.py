@@ -15,13 +15,10 @@ leaves the contractions after its last term. The cross term vanishes at
 phi = 0, which covers every receiver_tpa call and the longitudinal cut;
 there a point's sum is one outer product. A batch is contracted
 with matrix products, a single point with numpy's pairwise sums, so that one
-point never wakes the BLAS threads. Only the current components with a
-nonzero cell are contracted: every screen's je_x is zero by construction
-(reflection_currents; a y-polarized source has no incident H_y), and a
-conducting screen (gamma = -1) carries no magnetic current either; each such
-component is one shared read-only zero broadcast over the cells, not an array
-of zeros. path_term is the one path-term expression: the kernel's row and
-column parts, and the phase-conjugation targets that synthesis conjugates.
+point never wakes the BLAS threads. A current component that a screen does
+not carry is the scalar 0, and only the array components are contracted.
+path_term is the one path-term expression: the kernel's row and column
+parts, and the phase-conjugation targets that synthesis conjugates.
 """
 
 from __future__ import annotations
@@ -47,23 +44,25 @@ class SurfaceCurrents:
     """Per-cell complex current coefficients on an aperture grid.
 
     je_* are electric [A/m] and jm_* magnetic [V/m] surface-current expansion
-    coefficients, all shaped (P, P) and indexed [p, q]. A component may be a
-    read-only view, among them the shared zero (strides (0, 0)) that
-    reflection_currents gives each component that is zero by construction,
-    so callers must not write into currents.
+    coefficients, shaped (P, P) and indexed [p, q]. A component the screen
+    does not carry is the scalar 0; je_x is always 0, since a y-polarized
+    source drives no x-directed electric current (reflection_currents).
     """
 
-    je_x: np.ndarray
-    je_y: np.ndarray
-    jm_x: np.ndarray
-    jm_y: np.ndarray
+    je_x = 0.0
+    je_y: np.ndarray | float
+    jm_x: np.ndarray | float
+    jm_y: np.ndarray | float
     grid: ApertureGrid
 
     def __post_init__(self):
         shape = (self.grid.p_count, self.grid.p_count)
-        for name in ("je_x", "je_y", "jm_x", "jm_y"):
+        for name in ("je_y", "jm_x", "jm_y"):
             arr = getattr(self, name)
-            if arr.shape != shape:
+            if np.ndim(arr) == 0:
+                if arr != 0:  # NaN fails too
+                    raise GeometryError(f"{name} must be 0 or an array of grid shape {shape}")
+            elif arr.shape != shape:
                 raise GeometryError(f"{name} shape {arr.shape} != grid shape {shape}")
             if not np.all(np.isfinite(arr)):
                 raise GeometryError(f"{name} contains non-finite values")
@@ -211,11 +210,8 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     at rounding level (phi = pi or +-pi/2, whose sine or cosine is about
     1e-16) the rank is 1 or 2.
 
-    Only the components with a nonzero cell are contracted (je_y, jm_x and
-    jm_y of a skin; je_y alone of a conducting screen; je_x, the shared zero
-    of reflection_currents, of neither). Skipping the others is exact: their
-    contractions would be signed zeros, since the phasors are finite, and
-    their column sums start at +0, which +0 + (+-0) = +0 keeps.
+    Only the array components are contracted; an absent one, the scalar 0,
+    leaves its column sum at +0, the bits that contracting zero cells gives.
 
     The (N, 4) current-column sums are projected onto each point's
     theta-hat/phi-hat bracket weights under the prefactor with the per-cell
@@ -255,7 +251,7 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     a = np.exp(1j * k * path_term(x, r, st, ct, cp, sp))
     g = path_term(y, r, st, ct, sp, cp)
     live = [(i, col) for i, col in enumerate((currents.je_x, currents.je_y,
-                                               currents.jm_x, currents.jm_y)) if col.any()]
+                                               currents.jm_x, currents.jm_y)) if np.ndim(col)]
 
     sums = np.zeros((r.shape[0], 4), dtype=complex)
     for start in range(0, p_count, rows):

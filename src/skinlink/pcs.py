@@ -21,9 +21,8 @@ class PcsPanel:
 
 def pcs_currents(panel: PcsPanel, scenario: LinkScenario) -> SurfaceCurrents:
     """Physical-equivalent currents of a perfect conductor: J_e = 2 n x H_av,
-    J_m = 0, realized as the gamma = -1 limit of the shared sheet kernel. Only
-    je_y = 2 h_x is an array of its own; je_x, jm_x and jm_y are the shared
-    read-only zero of reflection_currents."""
+    J_m = 0, realized as the gamma = -1 limit of the shared sheet kernel. It
+    carries je_y = 2 h_x alone; jm_x and jm_y are the scalar 0."""
     return reflection_currents(panel.grid, scenario, -1.0, -1.0)
 
 

@@ -94,13 +94,12 @@ def incident_reference(scenario, x, y):
 
 
 def currents_reference(grid, scenario, gamma_xx, gamma_yy):
-    """reflection_currents as four plain arrays: je_x as np.zeros and the three
-    products, each allocating its result, in the order reflection_currents
-    must reproduce bit for bit wherever its component is not the shared zero.
-    Returns (je_x, je_y, jm_x, jm_y)."""
+    """reflection_currents as three plain arrays: the products, each allocating
+    its result, in the order reflection_currents must reproduce bit for bit
+    wherever its component is an array and not the scalar 0.
+    Returns (je_y, jm_x, jm_y)."""
     e_x, e_y, h_x = sk.incident_fields(scenario, *grid.cell_grid())
-    return (np.zeros(h_x.shape, complex), (1.0 - gamma_yy) * h_x,
-            -(1.0 + gamma_yy) * e_y, (1.0 + gamma_xx) * e_x)
+    return (1.0 - gamma_yy) * h_x, -(1.0 + gamma_yy) * e_y, (1.0 + gamma_xx) * e_x
 
 
 def passive_bound(scenario, grid) -> float:
@@ -169,10 +168,10 @@ def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
     xs = (X[:, :, None] + ox.reshape(-1)[None, None, :]).reshape(-1)
     ys = (Y[:, :, None] + oy.reshape(-1)[None, None, :]).reshape(-1)
     rep = np.ones(n * n)
-    je_x = (currents.je_x[:, :, None] * rep).reshape(-1)
-    je_y = (currents.je_y[:, :, None] * rep).reshape(-1)
-    jm_x = (currents.jm_x[:, :, None] * rep).reshape(-1)
-    jm_y = (currents.jm_y[:, :, None] * rep).reshape(-1)
+    shape = (grid.p_count, grid.p_count)
+    je_x, je_y, jm_x, jm_y = ((np.broadcast_to(c, shape)[:, :, None] * rep).reshape(-1)
+                              for c in (currents.je_x, currents.je_y,
+                                        currents.jm_x, currents.jm_y))
 
     s0, c0 = math.sin(obs.theta), math.cos(obs.theta)
     sp0, cp0 = math.sin(obs.phi), math.cos(obs.phi)

@@ -83,8 +83,7 @@ def test_criterion_7_oracle_equivalence():
         def draw():
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        currents = sk.SurfaceCurrents(je_x=draw(), je_y=draw(), jm_x=draw(),
-                                      jm_y=draw(), grid=grid)
+        currents = sk.SurfaceCurrents(je_y=draw(), jm_x=draw(), jm_y=draw(), grid=grid)
         # random (incoherent) currents do not average out the closed form's
         # first-order per-cell approximations, so probe well beyond the
         # Fresnel bound where those shrink below the tolerance

@@ -177,7 +177,7 @@ def test_design_quoted_table_field_exit(scenario_file, tmp_path, capsys):
                  "--table", str(table_path), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2: could not convert string to float: ")
+    assert err == "error: line 2: cannot parse value for 'g_m'\n"
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

@@ -108,15 +108,19 @@ def test_table_csv_validation(tmp_path):
             ("one_row", f"{header}\n1e-3,1,0,1,0\n", "reflection table needs at least two entries"),
             ("four_columns", f"{header}\n1e-3,1,0,1,0\n2e-3,0,1,0\n", "line 3: expected 5 columns"),
             ("x_number", f"{header}\n1e-3,1,0,1,0\n2e-3,x,1,0,1\n",
-             "line 3: could not convert string to float: 'x'"),
+             "line 3: cannot parse value for 're_gamma_xx'"),
             # nothing writes quotes: a quoted field is not a number
             ("quoted", f'{header}\n"1e-3",1,0,1,0\n2e-3,0,1,0,1\n',
-             "line 2: could not convert string to float: '\"1e-3\"'")]:
+             "line 2: cannot parse value for 'g_m'"),
+            # the error names the column, not the field's text
+            ("long_field", f"{header}\n1e-3,1,0,1,0\n2e-3,{'y' * 140_000},1,0,1\n",
+             "line 3: cannot parse value for 're_gamma_xx'")]:
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
         with pytest.raises(sk.ConfigError) as info:
             sk.load_reflection_table(path)
         assert str(info.value) == message
+        assert "\n" not in message and len(message) < 100
     # a blank line between rows is skipped, and bare-CR line ends read as line ends
     for name, text in [("blank_line", f"{header}\n1e-3,1,0,1,0\n\n2e-3,0,1,0,1\n"),
                        ("bare_cr", f"{header}\r1e-3,1,0,1,0\r2e-3,0,1,0,1\r")]:
@@ -230,13 +234,12 @@ def test_y_polarized_wave_drives_no_je_x(baseline, table):
     panel, _ = sk.design_panel(baseline, 1.0, table)
     for currents in (sk.pcs_currents(sk.PcsPanel(grid=grid), baseline),
                      sk.gstc_currents(panel, baseline)):
-        assert currents.je_x.shape == (180, 180)
-        assert np.all(currents.je_x == 0.0)
+        assert currents.je_x == 0.0
 
 
-def _is_shared_zero(component):
-    """A read-only view with strides (0, 0): one value broadcast over the cells."""
-    return component.strides == (0, 0) and not component.flags.writeable
+def _is_absent(component):
+    """The scalar 0.0 that stands for a component the cells do not carry."""
+    return type(component) is float and component == 0.0
 
 
 _PASSIVE = st.builds(lambda mag, phase: mag * complex(math.cos(phase), math.sin(phase)),
@@ -264,35 +267,36 @@ def _gamma(draw, cells):
 @settings(max_examples=40, deadline=None)
 @given(cells=st.integers(1, 12), data=st.data(), scoped=st.booleans())
 def test_reflection_currents_match_the_plain_expressions(cells, data, scoped):
-    # a component that is zero by construction is the shared zero, equal by
-    # value (its sign is not kept); every other component matches bit for bit
+    # a component whose factor is a scalar 0 is the scalar 0.0, equal by value
+    # (its sign is not kept); every other component matches bit for bit
     scenario = make_scenario()
     grid = sk.ApertureGrid(pitch=scenario.pitch, p_count=cells)
     gamma_xx, gamma_yy = data.draw(_gamma(cells)), data.draw(_gamma(cells))
     with shared_incident_fields() if scoped else nullcontext():
         currents = sk.reflection_currents(grid, scenario, gamma_xx, gamma_yy)
         reference = currents_reference(grid, scenario, gamma_xx, gamma_yy)
-    components = (currents.je_x, currents.je_y, currents.jm_x, currents.jm_y)
-    factors = (0.0, 1.0 - gamma_yy, -(1.0 + gamma_yy), 1.0 + gamma_xx)
+    components = (currents.je_y, currents.jm_x, currents.jm_y)
+    factors = (1.0 - gamma_yy, -(1.0 + gamma_yy), 1.0 + gamma_xx)
+    assert currents.je_x == 0.0
     for component, expected, factor in zip(components, reference, factors):
-        assert component.shape == expected.shape == (cells, cells)
-        np.testing.assert_array_equal(component, expected)
-        assert _is_shared_zero(component) == (np.ndim(factor) == 0 and factor == 0)
-        if not _is_shared_zero(component):
+        assert expected.shape == (cells, cells)
+        np.testing.assert_array_equal(np.broadcast_to(component, expected.shape), expected)
+        assert _is_absent(component) == (np.ndim(factor) == 0 and factor == 0)
+        if not _is_absent(component):
             assert np.array_equal(component.view(np.int64), expected.view(np.int64))
 
 
 def test_zero_components_hold_no_cells(baseline):
     # on a 200 x 200 lattice whose field the scope memo already holds, building
     # a screen's currents allocates about its one array (je_y) and a skin's its
-    # three; the zero components are one read-only complex 0 broadcast over the cells
+    # three; the components the cells do not carry are the scalar 0
     grid = sk.ApertureGrid(pitch=baseline.pitch, p_count=200)
     array_bytes = grid.cell_count * np.dtype(complex).itemsize
     rng = np.random.default_rng(3)
     gxx, gyy = (np.exp(1j * rng.uniform(-math.pi, math.pi, (200, 200))) for _ in range(2))
     builds = ((lambda: sk.pcs_currents(sk.PcsPanel(grid=grid), baseline), 1.1,
-               ("je_x", "jm_x", "jm_y")),
-              (lambda: sk.reflection_currents(grid, baseline, gxx, gyy), 3.1, ("je_x",)))
+               ("jm_x", "jm_y")),
+              (lambda: sk.reflection_currents(grid, baseline, gxx, gyy), 3.1, ()))
     with shared_incident_fields():
         sk.incident_fields(baseline, *grid.cell_grid())
         for build, arrays, zeros in builds:
@@ -303,11 +307,8 @@ def test_zero_components_hold_no_cells(baseline):
             finally:
                 tracemalloc.stop()
             assert peak <= arrays * array_bytes
-            for name in ("je_x", "je_y", "jm_x", "jm_y"):
-                assert _is_shared_zero(getattr(currents, name)) == (name in zeros)
-            for name in zeros:
-                with pytest.raises(ValueError):
-                    getattr(currents, name)[0, 0] = 1.0
+            for name in ("je_y", "jm_x", "jm_y"):
+                assert _is_absent(getattr(currents, name)) == (name in zeros)
 
 
 def test_magnetic_wall_gamma(baseline):
@@ -682,7 +683,6 @@ def test_propagation_route_matches_coherent_closed_form(baseline):
     targets = sk.ideal_current_phases(grid, baseline)
     shape = (grid.p_count, grid.p_count)
     currents = sk.SurfaceCurrents(
-        je_x=np.zeros(shape, complex),
         je_y=np.exp(1j * targets),
         jm_x=np.zeros(shape, complex),
         jm_y=np.zeros(shape, complex),
@@ -711,18 +711,16 @@ def test_phase_flip_strictly_reduces_focus(baseline, table):
     obs = sk.ObservationPoint(r=baseline.r_rx, theta=baseline.theta0, phi=0.0)
     base = sk.scattered_field(currents, obs, baseline.wavelength, fresnel="off")
     base_mag = magnitude(base)
-    je_x, je_y = currents.je_x.copy(), currents.je_y.copy()
-    jm_x, jm_y = currents.jm_x.copy(), currents.jm_y.copy()
+    je_y, jm_x, jm_y = currents.je_y.copy(), currents.jm_x.copy(), currents.jm_y.copy()
     for p in range(grid.p_count):
         for q in range(grid.p_count):
-            for arr in (je_x, je_y, jm_x, jm_y):
+            for arr in (je_y, jm_x, jm_y):
                 arr[p, q] *= -1.0
-            flipped = sk.SurfaceCurrents(je_x=je_x, je_y=je_y, jm_x=jm_x,
-                                         jm_y=jm_y, grid=grid)
+            flipped = sk.SurfaceCurrents(je_y=je_y, jm_x=jm_x, jm_y=jm_y, grid=grid)
             mag = magnitude(sk.scattered_field(flipped, obs, baseline.wavelength,
                                                fresnel="off"))
             assert mag < base_mag
-            for arr in (je_x, je_y, jm_x, jm_y):
+            for arr in (je_y, jm_x, jm_y):
                 arr[p, q] *= -1.0
 
 
@@ -737,12 +735,10 @@ def test_phase_flip_sampled_on_larger_grid(baseline, table):
     for _ in range(40):
         p = int(rng.integers(0, grid.p_count))
         q = int(rng.integers(0, grid.p_count))
-        je_x, je_y = currents.je_x.copy(), currents.je_y.copy()
-        jm_x, jm_y = currents.jm_x.copy(), currents.jm_y.copy()
-        for arr in (je_x, je_y, jm_x, jm_y):
+        je_y, jm_x, jm_y = currents.je_y.copy(), currents.jm_x.copy(), currents.jm_y.copy()
+        for arr in (je_y, jm_x, jm_y):
             arr[p, q] *= -1.0
-        flipped = sk.SurfaceCurrents(je_x=je_x, je_y=je_y, jm_x=jm_x, jm_y=jm_y,
-                                     grid=grid)
+        flipped = sk.SurfaceCurrents(je_y=je_y, jm_x=jm_x, jm_y=jm_y, grid=grid)
         mag = magnitude(sk.scattered_field(flipped, obs, baseline.wavelength,
                                            fresnel="off"))
         assert mag < base_mag

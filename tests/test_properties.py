@@ -213,7 +213,7 @@ def test_closed_form_converges_to_the_oracle(f, theta, cells, phi, seed):
     rng = np.random.default_rng(seed)
     shape = (grid.p_count, grid.p_count)
     currents = sk.SurfaceCurrents(
-        *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)),
+        *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)),
         grid=grid)
     r_min = sk.fresnel_min_distance(grid.side_l, lam)
     near, far = (_oracle_error(currents, sk.ObservationPoint(r=m * r_min, theta=theta,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -35,9 +36,12 @@ class ApertureGrid:
     def cell_count(self) -> int:
         return self.p_count * self.p_count
 
-    @property
+    @functools.cached_property
     def x_centers(self) -> np.ndarray:
-        return -self.side_l / 2.0 + np.arange(self.p_count) * self.pitch + self.pitch / 2.0
+        """The barycenter abscissae, computed once per grid and read-only."""
+        x = -self.side_l / 2.0 + np.arange(self.p_count) * self.pitch + self.pitch / 2.0
+        x.flags.writeable = False
+        return x
 
     @property
     def y_centers(self) -> np.ndarray:

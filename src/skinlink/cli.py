@@ -13,6 +13,7 @@ subcommand accepts only the flags it reads; a usage error exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
 from .errors import ConfigError, FresnelValidityError, SkinlinkError
-from .field_engine import FieldCut, check_fresnel, field_cut_map, format_length, receiver_tpa
+from .field_engine import FieldCut, check_fresnel, field_cut_maps, format_length, receiver_tpa
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario, shared_incident_fields
 
@@ -39,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, so every call of main reads the same tree."""
     parser = _Parser(
         prog="skinlink",
         description="NLOS specular link analysis with passive reflective screens")
@@ -242,6 +246,9 @@ def _write_cut(out: Path, name: str, cut_map, scenario) -> None:
 
 
 def cmd_cuts(args) -> int:
+    """The PCS and EMS field maps of each cut plane. Both screens of a cut go
+    through one field_cut_maps call: they share its phasors, and each
+    contracts only its own live components."""
     planes = ["transversal", "longitudinal"] if args.plane == "both" else [args.plane]
     cuts = [FieldCut(plane=plane, half_extent=args.extent, points=args.points)
             for plane in planes]
@@ -255,8 +262,8 @@ def cmd_cuts(args) -> int:
             "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
             "ems": ems.gstc_currents(panel, scenario),
         }
-    maps = [(f"cuts_{screen}_{cut.plane}", field_cut_map(currents, cut, scenario))
-            for cut in cuts for screen, currents in screens.items()]
+    maps = [(f"cuts_{screen}_{cut.plane}", cut_map) for cut in cuts
+            for screen, cut_map in zip(screens, field_cut_maps(screens.values(), cut, scenario))]
     out = _outdir(args)
     for name, cut_map in maps:
         _write_cut(out, name, cut_map, scenario)

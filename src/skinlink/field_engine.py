@@ -4,19 +4,23 @@ Evaluates the scattered field of piecewise-constant electric/magnetic surface
 currents on the panel lattice, the received power, the Fresnel validity bound
 and field-cut maps around the receiver.
 
-One kernel, _cell_sum, evaluates the cell sum at a batch of points; both
-scattered_field (one point) and scattered_field_at_points (chunks) call it.
-It never forms the (points x cells) phasor block. The Fresnel path term
-splits exactly into a row part f(x), a column part g(y) and a cross term
-kappa*x*y, so each point needs P + Q exponentials, and the cross term is a
-short Taylor series over blocks of rows. The block count comes from a batch's
-largest cross-term phase and each point's rank from its own, so a point
-leaves the contractions after its last term. The cross term vanishes at
-phi = 0, which covers every receiver_tpa call and the longitudinal cut;
-there a point's sum is one outer product. A batch is contracted
-with matrix products, a single point with numpy's pairwise sums, so that one
-point never wakes the BLAS threads. A current component that a screen does
-not carry is the scalar 0, and only the array components are contracted.
+One kernel, _cell_sum, evaluates the cell sum at a batch of points for one
+or more screens on one grid. scattered_field calls it for one point and one
+screen; the chunked multi-point path behind scattered_field_at_points,
+field_cut_map and field_cut_maps calls it for every screen of a cut at once,
+so the screens share each chunk's phasors and each contracts only its own
+live components. It never forms the (points x cells) phasor block. The
+Fresnel path term splits exactly into a row part f(x), a column part g(y)
+and a cross term kappa*x*y, so each point needs P + Q exponentials, and the
+cross term is a short Taylor series over blocks of rows. The block count
+comes from a batch's largest cross-term phase and each point's rank from its
+own, so a point leaves the contractions after its last term. The cross term
+vanishes at phi = 0, which covers every receiver_tpa call and the
+longitudinal cut; there a point's sum is one outer product. A batch is
+contracted with matrix products, a single point with numpy's pairwise sums,
+so that one point never wakes the BLAS threads. A current component that a
+screen does not carry is the scalar 0, and only the array components are
+contracted.
 path_term is the one path-term expression: the kernel's row and column
 parts, and the phase-conjugation targets that synthesis conjugates.
 """
@@ -168,8 +172,11 @@ def bracket_weights(theta, phi):
     """
     ct = np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    w_theta = np.stack([ETA0 * ct * cp, ETA0 * ct * sp, -sp, cp], axis=-1)
-    w_phi = np.stack([-ETA0 * sp, ETA0 * cp, ct * cp, ct * sp], axis=-1)
+    w_theta, w_phi = (np.empty(np.shape(ct) + (4,)) for _ in range(2))
+    w_theta[..., 0], w_theta[..., 1] = ETA0 * ct * cp, ETA0 * ct * sp
+    w_theta[..., 2], w_theta[..., 3] = -sp, cp
+    w_phi[..., 0], w_phi[..., 1] = -ETA0 * sp, ETA0 * cp
+    w_phi[..., 2], w_phi[..., 3] = ct * cp, ct * sp
     return w_theta, w_phi
 
 
@@ -185,8 +192,9 @@ def _contract(a, col, b):
     return ((a @ col) * b).sum(axis=1)
 
 
-def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
-    """The radiation sum at N points given by (r, theta, phi) arrays of shape (N,).
+def _cell_sum(screens, r, theta, phi, wavelength: float):
+    """The radiation sums of a sequence of SurfaceCurrents on one grid at N
+    points given by (r, theta, phi) arrays of shape (N,).
 
     The path term splits exactly as f(x) + g(y) + kappa*x*y with f and g
     the path_term of x and of y and kappa = sin^2(theta) sin(phi) cos(phi) / r,
@@ -210,14 +218,18 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
     at rounding level (phi = pi or +-pi/2, whose sine or cosine is about
     1e-16) the rank is 1 or 2.
 
-    Only the array components are contracted; an absent one, the scalar 0,
-    leaves its column sum at +0, the bits that contracting zero cells gives.
+    The screens share every phasor: the row and column exponentials and each
+    term's a_n and b_n are built once per batch, and each screen contracts
+    only its own array components against them. An absent component, the
+    scalar 0, leaves its column sum at +0, the bits that contracting zero
+    cells gives.
 
-    The (N, 4) current-column sums are projected onto each point's
+    Each screen's (N, 4) current-column sums are projected onto each point's
     theta-hat/phi-hat bracket weights under the prefactor with the per-cell
-    sinc element factors. Returns (e_theta, e_phi), each of shape (N,).
+    sinc element factors. Returns one (e_theta, e_phi) pair per screen, each
+    of shape (N,).
     """
-    grid = currents.grid
+    grid = screens[0].grid
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     k = 2.0 * math.pi / wavelength
@@ -250,10 +262,12 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
         term = term[:m] * (t[:m] / len(prefix))
     a = np.exp(1j * k * path_term(x, r, st, ct, cp, sp))
     g = path_term(y, r, st, ct, sp, cp)
-    live = [(i, col) for i, col in enumerate((currents.je_x, currents.je_y,
-                                               currents.jm_x, currents.jm_y)) if np.ndim(col)]
+    # column 4*s + i of sums holds component i of screen s
+    live = [(4 * s + i, col) for s, currents in enumerate(screens)
+            for i, col in enumerate((currents.je_x, currents.je_y,
+                                     currents.jm_x, currents.jm_y)) if np.ndim(col)]
 
-    sums = np.zeros((r.shape[0], 4), dtype=complex)
+    sums = np.zeros((r.shape[0], 4 * len(screens)), dtype=complex)
     for start in range(0, p_count, rows):
         blk = slice(start, start + rows)
         x0 = (x[blk][0] + x[blk][-1]) / 2.0
@@ -269,7 +283,8 @@ def _cell_sum(currents: SurfaceCurrents, r, theta, phi, wavelength: float):
 
     # a field past float range becomes inf or nan here, which received_power rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        return pre * (sums * w_theta).sum(axis=1), pre * (sums * w_phi).sum(axis=1)
+        return [(pre * (screen * w_theta).sum(axis=1), pre * (screen * w_phi).sum(axis=1))
+                for screen in (sums[:, c:c + 4] for c in range(0, sums.shape[1], 4))]
 
 
 def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
@@ -281,8 +296,8 @@ def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,
     element factors. fresnel="strict" rejects a point inside the Fresnel bound.
     """
     check_fresnel(currents.grid.side_l, wavelength, obs.r, fresnel)
-    e_theta, e_phi = _cell_sum(currents, np.array([obs.r]), np.array([obs.theta]),
-                               np.array([obs.phi]), wavelength)
+    [(e_theta, e_phi)] = _cell_sum((currents,), np.array([obs.r]), np.array([obs.theta]),
+                                   np.array([obs.phi]), wavelength)
     return ScatteredField(e_theta=complex(e_theta[0]), e_phi=complex(e_phi[0]))
 
 
@@ -297,7 +312,17 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
     Points are summed _POINT_CHUNK at a time, which bounds the per-point
     factor arrays; each chunk is ordered internally by the cross-term
     coefficient |kappa| (_cell_sum), and the results come back in input order.
+    This is the one-screen call of the path that field_cut_maps runs for
+    several screens, whose chunks share their phasors.
     """
+    return _fields_at_points((currents,), points, wavelength)[0]
+
+
+def _fields_at_points(screens, points, wavelength: float):
+    """scattered_field_at_points for a sequence of SurfaceCurrents on one grid:
+    one (e_theta, e_phi) pair per screen. Each chunk builds its phasors once
+    for all the screens (_cell_sum), and each screen contracts its own live
+    components."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(pts)):
         raise GeometryError("observation points must be finite")
@@ -310,13 +335,14 @@ def scattered_field_at_points(currents: SurfaceCurrents, points: np.ndarray,
     theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
 
-    e_theta = np.empty(pts.shape[0], dtype=complex)
-    e_phi = np.empty(pts.shape[0], dtype=complex)
+    fields = [(np.empty(pts.shape[0], dtype=complex), np.empty(pts.shape[0], dtype=complex))
+              for _ in screens]
     for start in range(0, pts.shape[0], _POINT_CHUNK):
         sl = slice(start, start + _POINT_CHUNK)
-        e_theta[sl], e_phi[sl] = _cell_sum(currents, r[sl], theta[sl], phi[sl],
-                                           wavelength)
-    return e_theta, e_phi
+        for (e_theta, e_phi), chunk in zip(fields, _cell_sum(screens, r[sl], theta[sl],
+                                                             phi[sl], wavelength)):
+            e_theta[sl], e_phi[sl] = chunk
+    return fields
 
 
 def received_power(field: ScatteredField, g_rx: float, wavelength: float) -> float:
@@ -389,9 +415,27 @@ def field_cut_map(currents: SurfaceCurrents, cut: FieldCut, scenario,
     The transversal cut spans (x'', y'') at z'' = 0 and the longitudinal cut
     spans (x'', z'') at y'' = 0, both centered on the receiver. fresnel="strict"
     checks the cut center; the map itself may sample the caustic region
-    around it.
+    around it. This is field_cut_maps for one screen.
     """
     check_fresnel(currents.grid.side_l, scenario.wavelength, scenario.r_rx, fresnel)
+    return field_cut_maps((currents,), cut, scenario)[0]
+
+
+def field_cut_maps(screens, cut: FieldCut, scenario) -> list[CutMap]:
+    """field_cut_map for each of a sequence of SurfaceCurrents on one grid,
+    over one set of points: one CutMap per screen, in order.
+
+    The screens share the kernel's phasors, built once per point chunk, and
+    each contracts only its own live components, so every map has the bits
+    that field_cut_map gives it alone. There is no Fresnel check: the cuts
+    command checks the receiver once. GeometryError for an empty sequence or
+    for screens on different grids.
+    """
+    screens = tuple(screens)
+    if not screens:
+        raise GeometryError("a cut needs at least one set of currents")
+    if any(currents.grid != screens[0].grid for currents in screens):
+        raise GeometryError("the currents of one cut must lie on one grid")
     n = cut.points if cut.half_extent > 0 else 1
     axis = np.linspace(-cut.half_extent, cut.half_extent, n) if n > 1 else np.zeros(1)
     # x'' = y'' x z'', with y'' the panel y axis and z'' pointing at the receiver
@@ -403,8 +447,10 @@ def field_cut_map(currents: SurfaceCurrents, cut: FieldCut, scenario,
     pts = (center[None, :]
            + U.reshape(-1)[:, None] * x2[None, :]
            + V.reshape(-1)[:, None] * second[None, :])
-    e_theta, e_phi = scattered_field_at_points(currents, pts, scenario.wavelength)
-    e_phi_abs = np.abs(e_phi).reshape(n, n)
-    e_total_abs = np.sqrt(np.abs(e_theta) ** 2 + np.abs(e_phi) ** 2).reshape(n, n)
-    return CutMap(cut=cut, u=axis, v=axis.copy(),
-                  e_phi_abs=e_phi_abs, e_total_abs=e_total_abs)
+    maps = []
+    for e_theta, e_phi in _fields_at_points(screens, pts, scenario.wavelength):
+        e_phi_abs = np.abs(e_phi).reshape(n, n)
+        e_total_abs = np.sqrt(np.abs(e_theta) ** 2 + np.abs(e_phi) ** 2).reshape(n, n)
+        maps.append(CutMap(cut=cut, u=axis.copy(), v=axis.copy(),
+                           e_phi_abs=e_phi_abs, e_total_abs=e_total_abs))
+    return maps

@@ -214,11 +214,12 @@ def parse_scenario(text: str) -> LinkScenario:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key; expected one of "
+                              f"{', '.join(_SCENARIO_KEYS)}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:

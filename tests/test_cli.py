@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import skinlink as sk
-from skinlink.cli import main
+from skinlink.cli import build_parser, main
 
 from helpers import count_incident_fields, subsampled_table, table_csv
 
@@ -633,6 +633,36 @@ def test_help_exits_zero(capsys):
     assert stop.value.code == 0
     usage = capsys.readouterr().out
     assert "--scenario" in usage and "--table" not in usage
+
+
+def test_parser_is_built_once_and_keeps_no_state(scenario_file, tmp_path, capsys):
+    """One parser serves every call of main in a process: a usage error, then
+    design, then sweep give the exit codes, output and artifacts of calls that
+    each build a fresh parser."""
+    assert build_parser() is build_parser()
+    commands = [
+        ["design", "--scenario", scenario_file, "--side-l", "0.1", "--points", "5"],
+        ["design", "--scenario", scenario_file, "--side-l", "0.1"],
+        ["sweep", "--scenario", scenario_file, "--values", "0.1,0.15"],
+    ]
+
+    def run(tag, fresh):
+        results = []
+        for i, argv in enumerate(commands):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / tag / str(i)
+            code = main(argv + ["--out", str(out)])
+            captured = capsys.readouterr()
+            artifacts = {path.name: path.read_bytes() for path in sorted(out.glob("*"))}
+            results.append((code, captured.out, captured.err, artifacts))
+        return results
+
+    cached = run("cached", fresh=False)
+    assert [code for code, *_ in cached] == [1, 0, 0]
+    assert sorted(cached[1][3]) == ["design_report.json", "layout.json"]
+    assert sorted(cached[2][3]) == ["markers.json", "sweep.csv"]
+    assert run("fresh", fresh=True) == cached
 
 
 _NEAR_FIELD = ("observation at r = 2.000 m is inside the Fresnel bound 2.826 m "

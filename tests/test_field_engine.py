@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skinlink as sk
-from skinlink.field_engine import _POINT_CHUNK, format_length, path_term
+from skinlink.field_engine import _POINT_CHUNK, field_cut_maps, format_length, path_term
 
 from helpers import beta, make_scenario, quadrature_oracle
 
@@ -533,6 +533,47 @@ def test_longitudinal_cut_runs(baseline, panel08):
     cut_map = sk.field_cut_map(currents, cut, baseline, fresnel="off")
     assert cut_map.e_total_abs.shape == (11, 11)
     assert np.all(np.isfinite(cut_map.e_total_abs))
+
+
+@pytest.mark.parametrize("plane", ["transversal", "longitudinal"])
+def test_cut_maps_of_screens_equal_their_single_maps(baseline, panel08, plane):
+    """Screens on one grid share one pass, and each map has the bits that
+    field_cut_map gives it alone: a skin (3 live components), a conducting
+    screen (scalar-0 jm_x, jm_y) and a screen of scalar zeros, in either order,
+    over more than one point chunk."""
+    panel, _ = panel08
+    screens = [sk.gstc_currents(panel, baseline),
+               sk.pcs_currents(sk.PcsPanel(grid=panel.grid), baseline),
+               sk.SurfaceCurrents(je_y=0.0, jm_x=0.0, jm_y=0.0, grid=panel.grid)]
+    assert [sum(np.ndim(c) > 0 for c in (s.je_y, s.jm_x, s.jm_y)) for s in screens] == [3, 1, 0]
+    cut = sk.FieldCut(plane=plane, half_extent=2.0, points=17)
+    assert cut.points**2 > _POINT_CHUNK
+
+    def bits(cut_map):
+        return [cut_map.e_phi_abs.view(np.int64), cut_map.e_total_abs.view(np.int64)]
+
+    singles = [sk.field_cut_map(currents, cut, baseline, fresnel="off") for currents in screens]
+    assert np.any(singles[0].e_total_abs != singles[1].e_total_abs)
+    assert np.all(singles[2].e_total_abs == 0.0)
+    for order in ([0, 1, 2], [2, 1, 0]):
+        maps = field_cut_maps([screens[i] for i in order], cut, baseline)
+        assert len(maps) == len(order)
+        for i, cut_map in zip(order, maps):
+            assert cut_map.cut == cut
+            assert np.array_equal(cut_map.u, singles[i].u)
+            assert np.array_equal(cut_map.v, singles[i].v)
+            for got, want in zip(bits(cut_map), bits(singles[i])):
+                assert np.array_equal(got, want)
+
+
+def test_cut_maps_need_screens_on_one_grid(baseline):
+    cut = sk.FieldCut(plane="transversal", half_extent=0.5, points=3)
+    small = zero_currents(sk.discretize(4 * DELTA, DELTA))
+    large = zero_currents(sk.discretize(5 * DELTA, DELTA))
+    with pytest.raises(sk.GeometryError, match="one grid"):
+        field_cut_maps([small, large], cut, baseline)
+    with pytest.raises(sk.GeometryError, match="at least one"):
+        field_cut_maps([], cut, baseline)
 
 
 def test_batch_points_match_single_point_sums(baseline, panel08):

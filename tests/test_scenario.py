@@ -316,8 +316,22 @@ def test_parse_scenario_unknown_key_is_hard_error():
 def test_parse_scenario_reports_bad_value_line():
     with pytest.raises(sk.ConfigError, match="line 2"):
         sk.parse_scenario("f_hz = 27e9\np_tx_w = lots\n")
-    with pytest.raises(sk.ConfigError, match="line 2: expected 'key = value', got 'p_tx_w 0.1'"):
+    with pytest.raises(sk.ConfigError, match="^line 2: expected 'key = value'$"):
         sk.parse_scenario("f_hz = 27e9\np_tx_w 0.1\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x" * 140_000, "line 2: expected 'key = value'"),
+    ("k" * 140_000 + " = 1", "line 2: unknown key; expected one of f_hz, p_tx_w, "
+                             "g_tx_dbi, g_rx_dbi, r_tx_m, r_rx_m, theta0_deg, delta_m"),
+])
+def test_parse_scenario_echoes_no_unbounded_line_or_key(line, message):
+    """A huge line or key is not echoed: the error is one short line of fixed text."""
+    with pytest.raises(sk.ConfigError) as info:
+        sk.parse_scenario("f_hz = 27e9\n" + line + "\n")
+    text = str(info.value)
+    assert text == message
+    assert "\n" not in text and len(text) < 200
 
 
 def test_parse_scenario_gain_overflow():

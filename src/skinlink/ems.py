@@ -233,9 +233,10 @@ def reflection_currents(grid: ApertureGrid, scenario: LinkScenario,
     jm_x = -(1 + gamma_yy) E_y, jm_y = (1 + gamma_xx) E_x, gamma broadcast over the
     cells. je_x = (gamma_xx - 1) H_y is zero by construction: the incident H of a
     y-polarized source has no y component, so incident_fields does not return it,
-    and SurfaceCurrents holds je_x as the constant 0. A product whose scalar
-    factor is 0, such as 1 + gamma of a conducting screen's gamma = -1, is the
-    scalar 0.0, a component the cells do not carry.
+    and SurfaceCurrents holds je_x as the constant 0, which the radiation kernel
+    does not read. A product whose scalar factor is 0, such as 1 + gamma of a
+    conducting screen's gamma = -1, is the scalar 0.0, a component the cells do
+    not carry.
     """
     e_x, e_y, h_x = incident_fields(scenario, *grid.cell_grid())
     # each product is one expression, so numpy reuses its factor's temporary

@@ -18,9 +18,9 @@ own, so a point leaves the contractions after its last term. The cross term
 vanishes at phi = 0, which covers every receiver_tpa call and the
 longitudinal cut; there a point's sum is one outer product. A batch is
 contracted with matrix products, a single point with numpy's pairwise sums,
-so that one point never wakes the BLAS threads. A current component that a
-screen does not carry is the scalar 0, and only the array components are
-contracted.
+so that one point never wakes the BLAS threads. The kernel reads je_y, jm_x
+and jm_y; je_x, 0 for every y-polarized source, has no column. A component a
+screen does not carry is the scalar 0, and only the array ones are contracted.
 path_term is the one path-term expression: the kernel's row and column
 parts, and the phase-conjugation targets that synthesis conjugates.
 """
@@ -49,8 +49,9 @@ class SurfaceCurrents:
 
     je_* are electric [A/m] and jm_* magnetic [V/m] surface-current expansion
     coefficients, shaped (P, P) and indexed [p, q]. A component the screen
-    does not carry is the scalar 0; je_x is always 0, since a y-polarized
-    source drives no x-directed electric current (reflection_currents).
+    does not carry is the scalar 0. je_x is the class constant 0.0, since a
+    y-polarized source drives no x-directed electric current (reflection_currents):
+    readers of the full current vector use it, and the radiation kernel does not.
     """
 
     je_x = 0.0
@@ -115,13 +116,9 @@ def fresnel_min_distance(side_l: float, wavelength: float) -> float:
     if side_l <= 0 or wavelength <= 0:
         raise DomainError("panel side and wavelength must be positive")
     diag = side_l * math.sqrt(2.0)
-    try:
-        radiating = _FRESNEL_RADIATING * math.sqrt(2.0 * side_l**3 * math.sqrt(2.0) / wavelength)
-    except OverflowError:
-        radiating = math.inf
-    if radiating == math.inf:   # side_l^3 left float range; its square root need not
-        radiating = (_FRESNEL_RADIATING * side_l
-                     * math.sqrt(side_l * 2.0 * math.sqrt(2.0) / wavelength))
+    # factored, with no side_l^3, so it overflows only where the bound itself does
+    radiating = (_FRESNEL_RADIATING * side_l
+                 * math.sqrt(side_l * 2.0 * math.sqrt(2.0) / wavelength))
     return max(_FRESNEL_DIAGONALS * diag, radiating, _FRESNEL_WAVELENGTHS * wavelength)
 
 
@@ -132,12 +129,8 @@ def l_fresnel(scenario) -> float:
         raise FresnelValidityError(
             f"receiver distance {r} m is below {_FRESNEL_WAVELENGTHS:g} wavelengths")
     scale = lam / (2.0 * math.sqrt(2.0))
-    try:
-        radiating = (scale * (r / _FRESNEL_RADIATING) ** 2) ** (1.0 / 3.0)
-    except OverflowError:
-        radiating = math.inf
-    if radiating == math.inf:   # (r / 0.62)^2 left float range; its cube root need not
-        radiating = scale ** (1.0 / 3.0) * (r ** (2.0 / 3.0) / _FRESNEL_RADIATING ** (2.0 / 3.0))
+    # factored so that no (r / 0.62)^2 forms, which leaves float range long before r does
+    radiating = scale ** (1.0 / 3.0) * (r ** (2.0 / 3.0) / _FRESNEL_RADIATING ** (2.0 / 3.0))
     return min(r / (_FRESNEL_DIAGONALS * math.sqrt(2.0)), radiating)
 
 
@@ -164,19 +157,17 @@ def check_fresnel(side_l: float, wavelength: float, r: float, mode: str) -> None
 
 
 def bracket_weights(theta, phi):
-    """Weights of (je_x, je_y, jm_x, jm_y) in the theta-hat and phi-hat brackets.
+    """Weights of (je_y, jm_x, jm_y) in the theta-hat and phi-hat brackets.
 
     theta and phi are scalars or arrays of shape S; each returned array has
-    shape S + (4,), so a bracket is the dot product of a weight row with the
-    four current coefficients.
+    shape S + (3,), so a bracket is the dot product of a weight row with the
+    three current coefficients. je_x, always 0, has no column.
     """
     ct = np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    w_theta, w_phi = (np.empty(np.shape(ct) + (4,)) for _ in range(2))
-    w_theta[..., 0], w_theta[..., 1] = ETA0 * ct * cp, ETA0 * ct * sp
-    w_theta[..., 2], w_theta[..., 3] = -sp, cp
-    w_phi[..., 0], w_phi[..., 1] = -ETA0 * sp, ETA0 * cp
-    w_phi[..., 2], w_phi[..., 3] = ct * cp, ct * sp
+    w_theta, w_phi = (np.empty(np.shape(ct) + (3,)) for _ in range(2))
+    w_theta[..., 0], w_theta[..., 1], w_theta[..., 2] = ETA0 * ct * sp, -sp, cp
+    w_phi[..., 0], w_phi[..., 1], w_phi[..., 2] = ETA0 * cp, ct * cp, ct * sp
     return w_theta, w_phi
 
 
@@ -224,10 +215,10 @@ def _cell_sum(screens, r, theta, phi, wavelength: float):
     scalar 0, leaves its column sum at +0, the bits that contracting zero
     cells gives.
 
-    Each screen's (N, 4) current-column sums are projected onto each point's
-    theta-hat/phi-hat bracket weights under the prefactor with the per-cell
-    sinc element factors. Returns one (e_theta, e_phi) pair per screen, each
-    of shape (N,).
+    Each screen's (N, 3) sums of je_y, jm_x and jm_y are projected onto each
+    point's theta-hat/phi-hat bracket weights under the prefactor with the
+    per-cell sinc element factors. Returns one (e_theta, e_phi) pair per
+    screen, each of shape (N,).
     """
     grid = screens[0].grid
     st, ct = np.sin(theta), np.cos(theta)
@@ -262,12 +253,11 @@ def _cell_sum(screens, r, theta, phi, wavelength: float):
         term = term[:m] * (t[:m] / len(prefix))
     a = np.exp(1j * k * path_term(x, r, st, ct, cp, sp))
     g = path_term(y, r, st, ct, sp, cp)
-    # column 4*s + i of sums holds component i of screen s
-    live = [(4 * s + i, col) for s, currents in enumerate(screens)
-            for i, col in enumerate((currents.je_x, currents.je_y,
-                                     currents.jm_x, currents.jm_y)) if np.ndim(col)]
+    # column 3*s + i of sums holds component i of screen s
+    live = [(3 * s + i, col) for s, currents in enumerate(screens)
+            for i, col in enumerate((currents.je_y, currents.jm_x, currents.jm_y)) if np.ndim(col)]
 
-    sums = np.zeros((r.shape[0], 4 * len(screens)), dtype=complex)
+    sums = np.zeros((r.shape[0], 3 * len(screens)), dtype=complex)
     for start in range(0, p_count, rows):
         blk = slice(start, start + rows)
         x0 = (x[blk][0] + x[blk][-1]) / 2.0
@@ -283,8 +273,11 @@ def _cell_sum(screens, r, theta, phi, wavelength: float):
 
     # a field past float range becomes inf or nan here, which received_power rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        return [(pre * (screen * w_theta).sum(axis=1), pre * (screen * w_phi).sum(axis=1))
-                for screen in (sums[:, c:c + 4] for c in range(0, sums.shape[1], 4))]
+        # je_y + (jm_x + jm_y) has the bits of numpy's pairwise sum of the full row
+        # (je_x, je_y, jm_x, jm_y), (je_x + je_y) + (jm_x + jm_y), whose je_x term is +0
+        return [tuple(pre * (b[:, 0] + (b[:, 1] + b[:, 2]))
+                      for b in (screen * w_theta, screen * w_phi))
+                for screen in (sums[:, c:c + 3] for c in range(0, sums.shape[1], 3))]
 
 
 def scattered_field(currents: SurfaceCurrents, obs: ObservationPoint,

@@ -33,14 +33,6 @@ def db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
-def _squared(x: float) -> float:
-    """x ** 2 as the closed forms compute it, inf where the float power overflows."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class LinkScenario:
     """One specular NLOS link: carrier, powers, gains and bounce geometry.
@@ -73,12 +65,13 @@ class LinkScenario:
             raise DomainError("theta0 must lie in [0, pi/2)")
         if self.delta is not None and self.delta <= 0:
             raise DomainError("cell pitch must be positive")
-        # the closed forms divide by the first and compare against the second
-        if not 0.0 < _squared(4.0 * math.pi * self.r_tx * self.r_rx) < math.inf:
+        # the closed forms divide by the first and compare against the second; each
+        # square is a product, which overflows to inf where x ** 2 would raise
+        spread = 4.0 * math.pi * self.r_tx * self.r_rx
+        if not 0.0 < spread * spread < math.inf:
             raise DomainError("antenna distances put the ideal-skin bound out of float range")
-        a_inf = (_squared(self.wavelength / (4.0 * math.pi * (self.r_rx + self.r_tx)))
-                 * self.g_rx * self.g_tx)
-        if not 0.0 < a_inf < math.inf:
+        ratio = self.wavelength / (4.0 * math.pi * (self.r_rx + self.r_tx))
+        if not 0.0 < ratio * ratio * self.g_rx * self.g_tx < math.inf:
             raise DomainError("the link puts the infinite-screen limit out of float range")
 
     @property

@@ -215,8 +215,9 @@ def test_format_length_switches_to_exponent_form_at_1e6_m():
 
 
 def test_fresnel_bounds_past_float_range():
-    # side_l^3 (at 1e103 m) or the product under the root (at 1e102 m) leaves
-    # float range, the bound does not; at 1e250 m it does
+    # each bound is one factored expression, which forms neither side_l^3 nor
+    # (r / 0.62)^2, so it leaves float range only where the bound itself does:
+    # at 1e103 m side_l^3 and at 1e102 m the product under the root would overflow
     for side in (1e102, 1e103):
         log_bound = math.log(0.62) + (math.log(2.0 * math.sqrt(2.0) / LAMBDA)
                                       + 3.0 * math.log(side)) / 2.0
@@ -224,19 +225,29 @@ def test_fresnel_bounds_past_float_range():
                                                                       rel=1e-12)
     assert sk.fresnel_min_distance(1e250, LAMBDA) == math.inf
     for side in (0.8, 1e50, 1e100):
-        assert sk.fresnel_min_distance(side, LAMBDA) == max(
+        bound = sk.fresnel_min_distance(side, LAMBDA)
+        assert bound == max(
             10.0 * (side * math.sqrt(2.0)),
-            0.62 * math.sqrt(2.0 * side**3 * math.sqrt(2.0) / LAMBDA), 10.0 * LAMBDA)
-    # l_fresnel keeps its expression, bit for bit, wherever (r / 0.62)^2 is finite
+            0.62 * side * math.sqrt(side * 2.0 * math.sqrt(2.0) / LAMBDA), 10.0 * LAMBDA)
+        # the unfactored expression agrees to rounding wherever it is finite
+        assert bound == pytest.approx(max(
+            10.0 * (side * math.sqrt(2.0)),
+            0.62 * math.sqrt(2.0 * side**3 * math.sqrt(2.0) / LAMBDA), 10.0 * LAMBDA), rel=1e-15)
+    scale = LAMBDA / (2.0 * math.sqrt(2.0))
     for r_tx, r_rx in ((15.0, 15.0), (15.0, 1e100), (1e-150, 1e150)):
-        scenario = make_scenario(r_tx=r_tx, r_rx=r_rx)
-        assert sk.l_fresnel(scenario) == min(
-            r_rx / (10.0 * math.sqrt(2.0)),
-            (LAMBDA / (2.0 * math.sqrt(2.0)) * (r_rx / 0.62) ** 2) ** (1.0 / 3.0))
-    # past it the cube root is taken factor by factor
+        side = sk.l_fresnel(make_scenario(r_tx=r_tx, r_rx=r_rx))
+        assert side == min(r_rx / (10.0 * math.sqrt(2.0)),
+                           scale ** (1.0 / 3.0) * (r_rx ** (2.0 / 3.0) / 0.62 ** (2.0 / 3.0)))
+        assert side == pytest.approx(min(r_rx / (10.0 * math.sqrt(2.0)),
+                                         (scale * (r_rx / 0.62) ** 2) ** (1.0 / 3.0)), rel=1e-15)
+    # on the far link (r / 0.62)^2 leaves float range, the side does not
     far = sk.l_fresnel(make_scenario(r_tx=1e-155, r_rx=1e155))
-    log_far = (math.log(LAMBDA / (2.0 * math.sqrt(2.0))) + 2.0 * math.log(1e155 / 0.62)) / 3.0
+    log_far = (math.log(scale) + 2.0 * math.log(1e155 / 0.62)) / 3.0
     assert far == pytest.approx(math.exp(log_far), rel=1e-12)
+    # and there, as on (15, 1e100) m, the two bounds invert each other
+    for r_tx, r_rx in ((1e-155, 1e155), (15.0, 1e100)):
+        side = sk.l_fresnel(make_scenario(r_tx=r_tx, r_rx=r_rx))
+        assert sk.fresnel_min_distance(side, LAMBDA) == pytest.approx(r_rx, rel=1e-12)
 
 
 def test_fresnel_modes():

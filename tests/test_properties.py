@@ -191,12 +191,19 @@ def test_threshold_side_meets_the_infinite_screen_limit(f, r_tx, r_rx, theta0_de
     assert math.isclose(bound, sk.pcs_asymptotic_tpa(scenario), rel_tol=1e-12)
 
 
-def _oracle_error(currents, obs, wavelength):
+def _oracle_error(currents, r, theta, phi, wavelength):
+    """|E_closed - E_oracle| at (r, theta, phi) over the closed form's RMS |E| on
+    36 azimuths at the same r and theta, so that a pattern null at phi, where
+    |E| itself is small, does not inflate the error."""
+    obs = sk.ObservationPoint(r=r, theta=theta, phi=phi)
     closed = sk.scattered_field(currents, obs, wavelength, fresnel="off")
     oracle = quadrature_oracle(currents, obs, wavelength)
-    return (math.hypot(abs(closed.e_theta - oracle.e_theta),
-                       abs(closed.e_phi - oracle.e_phi))
-            / math.hypot(abs(oracle.e_theta), abs(oracle.e_phi)))
+    azimuths = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
+    ring = r * np.stack([math.sin(theta) * np.cos(azimuths), math.sin(theta) * np.sin(azimuths),
+                         np.full(azimuths.shape, math.cos(theta))], axis=1)
+    e_theta, e_phi = sk.scattered_field_at_points(currents, ring, wavelength)
+    rms = math.sqrt(np.mean(np.abs(e_theta) ** 2 + np.abs(e_phi) ** 2))
+    return math.hypot(abs(closed.e_theta - oracle.e_theta), abs(closed.e_phi - oracle.e_phi)) / rms
 
 
 # theta starts at 0.05 rad, as in acceptance criterion 7: at the pole the
@@ -206,6 +213,9 @@ def _oracle_error(currents, obs, wavelength):
 @given(f=geometry["f"], theta=st.floats(0.05, math.radians(70.0)),
        cells=geometry["cells"], phi=st.floats(0.0, 2.0 * math.pi),
        seed=st.integers(0, 2**32 - 1))
+# phi = 1.5 rad is near a null of this pattern: the far error there is 1.2e-3
+# of |E| at that point but 5.8e-5 of the pattern's RMS
+@example(f=3e9, theta=1.0, cells=8, phi=1.5, seed=8)
 def test_closed_form_converges_to_the_oracle(f, theta, cells, phi, seed):
     # random (incoherent) currents keep every per-cell approximation visible
     lam = sk.wavelength(f)
@@ -216,11 +226,10 @@ def test_closed_form_converges_to_the_oracle(f, theta, cells, phi, seed):
         *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)),
         grid=grid)
     r_min = sk.fresnel_min_distance(grid.side_l, lam)
-    near, far = (_oracle_error(currents, sk.ObservationPoint(r=m * r_min, theta=theta,
-                                                             phi=phi), lam)
-                 for m in (100, 1000))
+    near, far = (_oracle_error(currents, m * r_min, theta, phi, lam) for m in (100, 1000))
     assert far < 1e-3
-    assert far < near
+    # the Fresnel model's error falls as 1/r, to a tenth from 100 to 1000 bounds
+    assert far <= 0.15 * near
 
 
 def test_failing_property_prints_its_example(tmp_path):

@@ -71,12 +71,12 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
 
     Every figure reads the one snapped panel that was synthesized: a_ems its
     layout, a_pcs a conducting screen of the same cells, a_opt its snapped
-    side. fresnel_ok checks the receiver against that snapped side, the check
-    that design and cuts apply. The row's variable is side_l and its value the
-    requested side; sweep replaces both for its own variable. Synthesis, the
-    skin's currents and the screen's currents read one incident field: the
-    point is one shared_incident_fields scope, so its three incident_fields
-    calls make one computation.
+    side. fresnel_ok checks the nearer of the two arms against that snapped
+    side, the check that design and cuts apply. The row's variable is side_l
+    and its value the requested side; sweep replaces both for its own
+    variable. Synthesis, the skin's currents and the screen's currents read
+    one incident field: the point is one shared_incident_fields scope, so its
+    three incident_fields calls make one computation.
     """
     with shared_incident_fields():
         panel, _ = design_panel(scenario, side_l, table)
@@ -86,7 +86,8 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
     return TpaSweepRow(
         variable="side_l", value=side_l, a_pcs=a_pcs, a_ems=a_ems,
         a_opt=ems_upper_bound_tpa(scenario, side), a_inf=pcs_asymptotic_tpa(scenario),
-        fresnel_ok=scenario.r_rx >= fresnel_min_distance(side, scenario.wavelength))
+        fresnel_ok=min(scenario.r_tx, scenario.r_rx)
+        >= fresnel_min_distance(side, scenario.wavelength))
 
 
 def worker_count(n_tasks: int) -> int:
@@ -104,7 +105,7 @@ def sweep(scenario: LinkScenario, variable: str, values, table: ReflectionLookup
     sweeps over anything but side_l a finite panel side of at least one cell
     must be given, and for a side_l sweep none. Each row is evaluate_point's
     row for its geometry with the swept variable and value put in, so its
-    fresnel_ok checks the receiver against the snapped panel side, not the
+    fresnel_ok checks both arms against the snapped panel side, not the
     requested one; it is reported, not warned about.
     Per-point library errors are recorded in the row, prefixed with their type,
     and the sweep continues; any other exception propagates. Points run in a

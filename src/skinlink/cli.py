@@ -4,10 +4,10 @@ All file artifacts are deterministic: identical configs and inputs produce
 byte-identical outputs (no timestamps inside data files). The library returns
 linear ratios; the writers here put them in dB.
 
-The Fresnel check lives here: the receiver's validity is fixed by the link,
-so design and cuts check it once, after building the panel, and sweep reports
-it per row. The library's attenuation functions only evaluate. Each
-subcommand accepts only the flags it reads; a usage error exits 1.
+The Fresnel check lives here: both arms' validity is fixed by the link, so
+design and cuts check the nearer arm once, after building the panel, and
+sweep reports it per row. The library's attenuation functions only evaluate.
+Each subcommand accepts only the flags it reads; a usage error exits 1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
 from .errors import ConfigError, FresnelValidityError, SkinlinkError
-from .field_engine import FieldCut, check_fresnel, field_cut_maps, format_length, receiver_tpa
+from .field_engine import (FieldCut, field_cut_maps, format_length, fresnel_min_distance,
+                           receiver_tpa)
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario, shared_incident_fields
 
@@ -108,14 +109,20 @@ def _load_table(arg: str) -> ems.ReflectionLookupTable:
     return ems.load_reflection_table(arg)
 
 
-def _check_receiver(args, scenario: LinkScenario, panel: ems.EmsPanel) -> None:
-    """The command's one Fresnel check: strict raises, else one stderr warning line."""
-    try:
-        check_fresnel(panel.grid.side_l, scenario.wavelength, scenario.r_rx, "strict")
-    except FresnelValidityError as exc:
-        if args.strict_fresnel:
-            raise
-        print(f"warning: {exc}", file=sys.stderr)
+def _check_arms(args, scenario: LinkScenario, panel: ems.EmsPanel) -> None:
+    """The command's one Fresnel check, on the nearer arm, named in the message
+    (the receiver on a tie): strict raises, else one stderr warning line."""
+    r, arm = min((scenario.r_rx, "receiver"), (scenario.r_tx, "transmitter"))
+    side = panel.grid.side_l
+    r_min = fresnel_min_distance(side, scenario.wavelength)
+    if r >= r_min:
+        return
+    exc = FresnelValidityError(
+        f"{arm} at r = {format_length(r, 3)} m is inside the Fresnel bound "
+        f"{format_length(r_min, 3)} m for L = {format_length(side, 3)} m")
+    if args.strict_fresnel:
+        raise exc
+    print(f"warning: {exc}", file=sys.stderr)
 
 
 def _outdir(args) -> Path:
@@ -170,7 +177,7 @@ def cmd_design(args) -> int:
     table = _load_table(args.table)
     with shared_incident_fields():    # synthesis and both screens read one field
         panel, targets = ems.design_panel(scenario, args.side_l, table)
-        _check_receiver(args, scenario, panel)
+        _check_arms(args, scenario, panel)
         a_pcs = pcs_tpa(scenario, args.side_l)    # before the skin's, so one current set is held
         currents = ems.gstc_currents(panel, scenario)   # one current set for both figures
         phi = ems.synthesis_mismatch(panel.grid, currents, targets)
@@ -256,8 +263,8 @@ def cmd_cuts(args) -> int:
     table = _load_table(args.table)
     with shared_incident_fields():    # synthesis and both screens read one field
         panel, _ = ems.design_panel(scenario, args.side_l, table)
-        # every map shares the panel and the receiver, so one Fresnel check covers all
-        _check_receiver(args, scenario, panel)
+        # every map shares the panel and the link, so one Fresnel check covers all
+        _check_arms(args, scenario, panel)
         screens = {
             "pcs": pcs_currents(PcsPanel(grid=panel.grid), scenario),
             "ems": ems.gstc_currents(panel, scenario),

@@ -355,7 +355,7 @@ def received_power(field: ScatteredField, g_rx: float, wavelength: float) -> flo
 def receiver_tpa(currents: SurfaceCurrents, scenario) -> float:
     """Path attenuation P_rx/P_tx of the currents at the scenario's specular receiver.
 
-    Evaluates only. The receiver's Fresnel validity is fixed by the link, so
+    Evaluates only. Both arms' Fresnel validity is fixed by the link, so
     the design and cuts commands check it once (cli) and sweep reports it per row.
     Raises DomainError where the received power leaves float range, and where
     P_rx/P_tx underflows to 0.0 (a receiver too far away), which has no dB figure.

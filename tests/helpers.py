@@ -3,8 +3,9 @@ the unsplit path term that cross-checks path_term, the full-vector incident-fiel
 oracle that cross-checks incident_fields, the plain incident-field expression
 that incident_fields must match bit for bit, a counter of its calls and
 computations, the plain current expressions that reflection_currents must match,
-the passive bound on a grid's path attenuation, and the sub-patch quadrature
-oracle that cross-checks the closed-form cell sum."""
+the passive bound on a grid's path attenuation, the sub-patch quadrature
+oracle that cross-checks the closed-form cell sum, and the exact-distance sum
+that cross-checks its Fresnel path term at the receiver."""
 
 import math
 
@@ -201,3 +202,32 @@ def quadrature_oracle(currents: SurfaceCurrents, obs: ObservationPoint,
     th0 = np.array([c0 * cp0, c0 * sp0, -s0])
     ph0 = np.array([-sp0, cp0, 0.0])
     return ScatteredField(e_theta=complex(e_total @ th0), e_phi=complex(e_total @ ph0))
+
+
+def exact_distance_sum(currents: SurfaceCurrents, scenario) -> ScatteredField:
+    """The field at the scenario's receiver as the phi = 0 bracket sum
+    sum_pq c_pq exp(-j k R_pq) / R_pq, with R_pq the exact distance from cell
+    (x_p, y_q, 0) to the receiver at r_rx (sin theta0, 0, cos theta0).
+
+    c_pq is what the closed-form cell sum gives each cell at phi = 0: the
+    theta-hat bracket eta cos(theta0) je_x + jm_y and the phi-hat bracket
+    eta je_y + cos(theta0) jm_x of the receiver direction, under the factor
+    -j pitch^2 sinc(pi pitch sin(theta0) / lambda) / (2 lambda). Only the
+    kernel's Fresnel path term changes: R_pq replaces r_rx - beta_pq in each
+    phase and r_rx in each amplitude, so the two sums agree where the Fresnel
+    expansion holds. Cells are summed in one pass, so keep panels small.
+    """
+    grid = currents.grid
+    lam, r, theta = scenario.wavelength, scenario.r_rx, scenario.theta0
+    x, y = grid.cell_grid()
+    dx = r * math.sin(theta) - x
+    dz = r * math.cos(theta)
+    dist = np.sqrt(dx * dx + y * y + dz * dz)
+    phasor = np.exp(-1j * (2.0 * math.pi / lam) * dist) / dist   # (P, P)
+    ct = math.cos(theta)
+    pre = (-1j * grid.pitch**2 / (2.0 * lam)
+           * float(sinc(math.pi * grid.pitch * math.sin(theta) / lam)))
+    # a component the screen does not carry is the scalar 0, which broadcasts
+    e_theta = pre * np.sum((ETA0 * ct * currents.je_x + currents.jm_y) * phasor)
+    e_phi = pre * np.sum((ETA0 * currents.je_y + ct * currents.jm_x) * phasor)
+    return ScatteredField(e_theta=complex(e_theta), e_phi=complex(e_phi))

@@ -351,7 +351,7 @@ def test_design_single_cell_beyond_fresnel_cube_exit(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     warning, error = capsys.readouterr().err.splitlines()
-    assert warning == ("warning: observation at r = 15.000 m is inside the "
+    assert warning == ("warning: receiver at r = 15.000 m is inside the "
                        "Fresnel bound 3.129e+155 m for L = 1.000e+103 m")
     assert error == "error: ideal-skin bound of a 1e+103 m panel is out of float range"
 
@@ -382,7 +382,9 @@ def test_design_underflowed_received_power_exit(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["design", "--scenario", cfg, "--side-l", "0.8", "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {_UNDERFLOW_ERROR}\n"
+    assert capsys.readouterr().err == (
+        "warning: transmitter at r = 1.000e-155 m is inside the Fresnel bound 11.306 m "
+        f"for L = 0.799 m\nerror: {_UNDERFLOW_ERROR}\n")
     assert not out.exists()
 
 
@@ -399,6 +401,39 @@ def test_sweep_underflowed_received_power_records_every_row(tmp_path, capsys):
     assert doc["l_th_ems_present"] is False and doc["l_pcs_ems_present"] is False
 
 
+def test_sweep_far_link_rows_flag_the_transmitter_arm(tmp_path, capsys):
+    # the transmitter 1e-155 m from the panel is inside any panel's Fresnel bound,
+    # so every row is flagged although the receiver arm is valid
+    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", cfg, "--variable", "r_rx", "--values", "10,20,30",
+                 "--side-l", "0.3", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["r_rx", v] for v in ("10.0", "20.0", "30.0")]
+    assert all(row.endswith(",false") for row in rows)
+
+
+# (r_tx, r_rx) in m, and the arm a 0.2 m panel's 2.826 m Fresnel bound warns about
+_ARM_LINKS = [((2.0, 15.0), "transmitter"), ((15.0, 2.0), "receiver"),
+              ((2.0, 2.0), "receiver"), ((15.0, 15.0), None)]
+
+
+@pytest.mark.parametrize("arms, arm", _ARM_LINKS)
+def test_design_warns_exactly_when_the_row_is_fresnel_invalid(tmp_path, capsys, arms, arm):
+    cfg = _config_file(tmp_path, r_tx_m=str(arms[0]), r_rx_m=str(arms[1]))
+    row = sk.analysis.evaluate_point(sk.load_scenario(cfg), 0.2, sk.synthetic_table())
+    assert main(["design", "--scenario", cfg, "--side-l", "0.2",
+                 "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert (err != "") == (not row.fresnel_ok) == (arm is not None)
+    if arm:
+        r = format(min(arms), ".3f")
+        assert err == (f"warning: {arm} at r = {r} m is inside the Fresnel bound "
+                       "2.826 m for L = 0.200 m\n")
+
+
 def test_cuts_distance_past_float_range_exit(tmp_path, capsys):
     # the cut points lie 1e155 m away, where the squares in their distance overflow
     cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
@@ -406,7 +441,9 @@ def test_cuts_distance_past_float_range_exit(tmp_path, capsys):
     code = main(["cuts", "--scenario", cfg, "--side-l", "0.5", "--points", "21",
                  "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == "error: observation distance is out of float range\n"
+    assert capsys.readouterr().err == (
+        "warning: transmitter at r = 1.000e-155 m is inside the Fresnel bound 7.066 m "
+        "for L = 0.500 m\nerror: observation distance is out of float range\n")
     assert not out.exists()
 
 
@@ -665,7 +702,7 @@ def test_parser_is_built_once_and_keeps_no_state(scenario_file, tmp_path, capsys
     assert run("fresh", fresh=True) == cached
 
 
-_NEAR_FIELD = ("observation at r = 2.000 m is inside the Fresnel bound 2.826 m "
+_NEAR_FIELD = ("receiver at r = 2.000 m is inside the Fresnel bound 2.826 m "
                "for L = 0.200 m")
 _FRESNEL_ARGV = {
     "design": ["design", "--side-l", "0.2"],

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import skinlink as sk
 
-from helpers import make_scenario, passive_bound, quadrature_oracle, spherical_wave_fields
+from helpers import (exact_distance_sum, make_scenario, passive_bound, quadrature_oracle,
+                     spherical_wave_fields)
 
 TABLE = sk.synthetic_table()
 PEC = sk.ReflectionLookupTable(g=np.array([1.0e-3, 2.0e-3]),
@@ -160,6 +161,51 @@ def test_arm_swap_moves_screen_and_skin_tpa_by_at_most_a_hundredth_db(fraction, 
     panel, _ = sk.design_panel(scenario, side, TABLE)
     a_ems = [sk.db(sk.receiver_tpa(sk.gstc_currents(panel, s), s)) for s in (scenario, swapped)]
     assert abs(a_ems[1] - a_ems[0]) <= 0.01
+
+
+_EXACT_CELLS = 64     # cells per side of the exact-distance property's panels
+
+
+def _exact_gap_db(currents, scenario, tpa):
+    """|tpa - the exact-distance sum's path attenuation| in dB."""
+    exact = exact_distance_sum(currents, scenario)
+    a_exact = sk.received_power(exact, scenario.g_rx, scenario.wavelength) / scenario.p_tx
+    return abs(sk.db(tpa) - sk.db(a_exact))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fraction=st.floats(0.0, 1.0), f=passive_link["f"], r_tx=passive_link["r_tx"],
+       r_rx=passive_link["r_rx"], theta0_deg=passive_link["theta0_deg"])
+# whole L_FRs of the nearer arm: 8 cells at 3.5 GHz and 60 degrees on 5 m arms,
+# 63 cells at 27 GHz and 30 degrees with the transmitter the nearer arm
+@example(fraction=1.0, f=3.5e9, r_tx=5.0, r_rx=5.0, theta0_deg=60.0)
+@example(fraction=1.0, f=27e9, r_tx=5.0, r_rx=20.0, theta0_deg=30.0)
+def test_fresnel_sum_matches_the_exact_distance_sum_up_to_l_fr(fraction, f, r_tx, r_rx,
+                                                               theta0_deg):
+    """On Fresnel-valid panels (fresnel_ok: both arms at least
+    fresnel_min_distance, so the side is at most the nearer arm's L_FR) the
+    receiver's Fresnel sum and the exact-distance sum give the screen's and
+    the skin's TPA within 0.05 dB. The panels hold whole cells, at most
+    _EXACT_CELLS per side."""
+    scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
+    nearer = make_scenario(f=f, r_tx=r_tx, r_rx=min(r_tx, r_rx), theta0_deg=theta0_deg)
+    cells = max(1, int(min(fraction * sk.l_fresnel(nearer) / scenario.pitch, _EXACT_CELLS)))
+    panel, _ = sk.design_panel(scenario, cells * scenario.pitch, TABLE)
+    for currents in (sk.gstc_currents(panel, scenario),
+                     sk.pcs_currents(sk.PcsPanel(grid=panel.grid), scenario)):
+        assert _exact_gap_db(currents, scenario, sk.receiver_tpa(currents, scenario)) <= 0.05
+
+
+def test_fresnel_valid_sweep_rows_match_the_exact_distance_sum(baseline, sweep19):
+    # every row of 0.1 m to 1.0 m is inside the 1.06 m L_FR of the 15/15 m link
+    rows = [row for row in sweep19 if row.fresnel_ok]
+    assert len(rows) == 19
+    for row in rows:
+        panel, _ = sk.design_panel(baseline, row.value, TABLE)
+        ems = sk.gstc_currents(panel, baseline)
+        pcs = sk.pcs_currents(sk.PcsPanel(grid=panel.grid), baseline)
+        assert _exact_gap_db(ems, baseline, row.a_ems) <= 0.05
+        assert _exact_gap_db(pcs, baseline, row.a_pcs) <= 0.05
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,17 +18,24 @@ bare-CR line ends (its design writes the bytes the first one's does), a
 wrap-around midpoint lies at +-pi), a table narrower than the 1 um
 synthesis step (a single candidate) and a 4-row table with gamma_xx != gamma_yy on every row (the
 others mirror the two columns, so only this one tells the gamma_xx pairing
-apart). Two OUT directories made from two checkouts hold the same bytes
-exactly when `diff -r OUT1 OUT2` prints nothing.
+apart). Then, in this process, it builds each workload of bench/workloads.py
+for seeds 1-3 in OUT/bench/<workload>/<seed>/ and runs one untimed pass
+there, so the files the benchmark's checks read are kept too (what the passes
+print is discarded, and no bytecode is written under bench/). Two OUT
+directories made from two checkouts hold the same bytes exactly when
+`diff -r OUT1 OUT2` prints nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEEDS = (1, 2, 3)
 SCENARIOS = {
     "27ghz_33deg_14_17m": {"f_hz": "27e9", "p_tx_w": "0.1", "g_tx_dbi": "15.4",
                            "g_rx_dbi": "15.4", "r_tx_m": "14", "r_rx_m": "17",
@@ -103,7 +110,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()   # before any chdir
     if not (src / "skinlink" / "__init__.py").is_file():
         print(f"error: no skinlink package in {src}", file=sys.stderr)
         return 2
@@ -131,6 +138,17 @@ def main(argv: list[str]) -> int:
             (run_dir / "stderr.txt").write_bytes(proc.stderr)
             (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="ascii")
             print(f"{scenario}/{name}: exit {proc.returncode}")
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
+    from workloads import WORKLOADS
+
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        for name, workload in WORKLOADS.items():
+            for seed in SEEDS:
+                work = out / "bench" / name / str(seed)
+                work.mkdir(parents=True)
+                os.chdir(work)
+                workload(seed, Path(".")).run_pass()
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .aperture import discretize
 from .ems import ReflectionLookupTable, design_panel, ems_upper_bound_tpa, gstc_currents
 from .errors import DomainError, SkinlinkError
-from .field_engine import fresnel_min_distance, l_fresnel, receiver_tpa
+from .field_engine import fresnel_error, l_fresnel, nearer_arm, receiver_tpa
 from .pcs import pcs_asymptotic_tpa, pcs_tpa
 from .scenario import LinkScenario, shared_incident_fields
 
@@ -86,8 +86,7 @@ def evaluate_point(scenario: LinkScenario, side_l: float,
     return TpaSweepRow(
         variable="side_l", value=side_l, a_pcs=a_pcs, a_ems=a_ems,
         a_opt=ems_upper_bound_tpa(scenario, side), a_inf=pcs_asymptotic_tpa(scenario),
-        fresnel_ok=min(scenario.r_tx, scenario.r_rx)
-        >= fresnel_min_distance(side, scenario.wavelength))
+        fresnel_ok=fresnel_error(side, scenario.wavelength, *nearer_arm(scenario)) is None)
 
 
 def worker_count(n_tasks: int) -> int:

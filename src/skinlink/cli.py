@@ -4,9 +4,9 @@ All file artifacts are deterministic: identical configs and inputs produce
 byte-identical outputs (no timestamps inside data files). The library returns
 linear ratios; the writers here put them in dB.
 
-The Fresnel check lives here: both arms' validity is fixed by the link, so
-design and cuts check the nearer arm once, after building the panel, and
-sweep reports it per row. The library's attenuation functions only evaluate.
+The Fresnel rule is field_engine's (the nearer arm sets L_FR, fresnel_ok and
+this check): design and cuts check once, after building the panel, and only
+pick a warning or an error. The library's attenuation functions only evaluate.
 Each subcommand accepts only the flags it reads; a usage error exits 1.
 """
 
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import analysis, ems
 from .aperture import export_layout, scenario_fingerprint
-from .errors import ConfigError, FresnelValidityError, SkinlinkError
-from .field_engine import (FieldCut, field_cut_maps, format_length, fresnel_min_distance,
+from .errors import ConfigError, SkinlinkError
+from .field_engine import (FieldCut, field_cut_maps, format_length, fresnel_error, nearer_arm,
                            receiver_tpa)
 from .pcs import PcsPanel, pcs_currents, pcs_tpa
 from .scenario import LinkScenario, db, load_scenario, shared_incident_fields
@@ -110,16 +110,11 @@ def _load_table(arg: str) -> ems.ReflectionLookupTable:
 
 
 def _check_arms(args, scenario: LinkScenario, panel: ems.EmsPanel) -> None:
-    """The command's one Fresnel check, on the nearer arm, named in the message
-    (the receiver on a tie): strict raises, else one stderr warning line."""
-    r, arm = min((scenario.r_rx, "receiver"), (scenario.r_tx, "transmitter"))
-    side = panel.grid.side_l
-    r_min = fresnel_min_distance(side, scenario.wavelength)
-    if r >= r_min:
+    """The command's one Fresnel check, field_engine's nearer-arm rule, named in
+    the message: strict raises its error, else one stderr warning line."""
+    exc = fresnel_error(panel.grid.side_l, scenario.wavelength, *nearer_arm(scenario))
+    if exc is None:
         return
-    exc = FresnelValidityError(
-        f"{arm} at r = {format_length(r, 3)} m is inside the Fresnel bound "
-        f"{format_length(r_min, 3)} m for L = {format_length(side, 3)} m")
     if args.strict_fresnel:
         raise exc
     print(f"warning: {exc}", file=sys.stderr)
@@ -166,8 +161,6 @@ def cmd_thresholds(args) -> int:
 def _ring_count(matrix: np.ndarray, g_lo: float, g_hi: float) -> int:
     """Concentric-band count: 1 + geometry resets along the center-to-corner diagonal."""
     diag = np.diagonal(matrix)[matrix.shape[0] // 2:]
-    if diag.size < 2:
-        return 1
     jumps = np.abs(np.diff(diag)) > 0.5 * (g_hi - g_lo)
     return 1 + int(jumps.sum())
 

@@ -1,8 +1,9 @@
 """Discretized Fresnel-zone radiation integral.
 
 Evaluates the scattered field of piecewise-constant electric/magnetic surface
-currents on the panel lattice, the received power, the Fresnel validity bound
-and field-cut maps around the receiver.
+currents on the panel lattice, the received power and field-cut maps around
+the receiver. It owns the whole Fresnel validity rule: the bound, its error
+text, and the nearer arm, which sets L_FR and every check of a link's arms.
 
 One kernel, _cell_sum, evaluates the cell sum at a batch of points for one
 or more screens on one grid. scattered_field calls it for one point and one
@@ -122,14 +123,18 @@ def fresnel_min_distance(side_l: float, wavelength: float) -> float:
     return max(_FRESNEL_DIAGONALS * diag, radiating, _FRESNEL_WAVELENGTHS * wavelength)
 
 
+def nearer_arm(scenario) -> tuple[float, str]:
+    """The shorter arm's distance [m] and name, the receiver on a tie."""
+    return min((scenario.r_rx, "receiver"), (scenario.r_tx, "transmitter"))
+
+
 def l_fresnel(scenario) -> float:
-    """Largest panel side [m] keeping the receiver inside the Fresnel-valid zone."""
-    lam, r = scenario.wavelength, scenario.r_rx
-    if r < _FRESNEL_WAVELENGTHS * lam:
-        raise FresnelValidityError(
-            f"receiver distance {r} m is below {_FRESNEL_WAVELENGTHS:g} wavelengths")
+    """Largest panel side [m] keeping both arms Fresnel-valid; 0.0 where no side does."""
+    lam, (r, _) = scenario.wavelength, nearer_arm(scenario)
+    if r < _FRESNEL_WAVELENGTHS * lam:    # below the bound's 10-wavelength floor
+        return 0.0
     scale = lam / (2.0 * math.sqrt(2.0))
-    # factored so that no (r / 0.62)^2 forms, which leaves float range long before r does
+    # factored for bit identity: a valid link's nearer arm (< 3.3e76 m) cannot overflow (r/0.62)^2
     radiating = scale ** (1.0 / 3.0) * (r ** (2.0 / 3.0) / _FRESNEL_RADIATING ** (2.0 / 3.0))
     return min(r / (_FRESNEL_DIAGONALS * math.sqrt(2.0)), radiating)
 
@@ -142,18 +147,24 @@ def format_length(value: float, decimals: int) -> str:
     return f"{value:.{decimals}{'f' if fixed else 'e'}}"
 
 
+def fresnel_error(side_l, wavelength, r, who="observation") -> FresnelValidityError | None:
+    """The error of a point named who at r [m] inside the Fresnel bound of a side_l
+    panel, else None: the one comparison with the bound and the one wording of it."""
+    r_min = fresnel_min_distance(side_l, wavelength)
+    if r >= r_min:
+        return None
+    return FresnelValidityError(
+        f"{who} at r = {format_length(r, 3)} m is inside the Fresnel bound "
+        f"{format_length(r_min, 3)} m for L = {format_length(side_l, 3)} m")
+
+
 def check_fresnel(side_l: float, wavelength: float, r: float, mode: str) -> None:
     """In mode "strict", raise FresnelValidityError if r is inside the Fresnel bound;
     mode "off" returns without computing the bound."""
     if mode not in ("strict", "off"):
         raise ConfigError(f"unknown Fresnel mode {mode!r}")
-    if mode == "off":
-        return
-    r_min = fresnel_min_distance(side_l, wavelength)
-    if not r >= r_min:
-        raise FresnelValidityError(
-            f"observation at r = {format_length(r, 3)} m is inside the Fresnel bound "
-            f"{format_length(r_min, 3)} m for L = {format_length(side_l, 3)} m")
+    if mode == "strict" and (exc := fresnel_error(side_l, wavelength, r)) is not None:
+        raise exc
 
 
 def bracket_weights(theta, phi):

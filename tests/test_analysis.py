@@ -39,8 +39,12 @@ def test_fresnel_side_small_receiver_distance():
     s = make_scenario(r_rx=10.0 * lam)
     # at ten wavelengths the linear branch is the binding one
     assert sk.l_fresnel(s) == pytest.approx(s.r_rx / (10.0 * math.sqrt(2.0)), rel=1e-12)
-    with pytest.raises(sk.FresnelValidityError):
-        sk.l_fresnel(make_scenario(r_rx=9.0 * lam))
+    # L_FR reads the nearer arm; below ten wavelengths of either arm no side is
+    # valid, so L_FR is 0 and the interval empty
+    assert sk.l_fresnel(make_scenario(r_tx=10.0 * lam)) == sk.l_fresnel(s)
+    for short in (make_scenario(r_rx=9.0 * lam), make_scenario(r_tx=9.0 * lam)):
+        assert sk.l_fresnel(short) == 0.0
+        assert not sk.optimality_interval(short).nonempty
 
 
 def test_optimality_interval_baseline(baseline):

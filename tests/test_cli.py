@@ -146,6 +146,18 @@ def test_design_single_cell_panel(tmp_path, scenario_file):
     assert report["phi_total_rad2"] >= 0.0
 
 
+@pytest.mark.parametrize("cells", [1, 2])
+def test_design_one_and_two_cell_panels_have_one_ring(tmp_path, scenario_file, cells):
+    # the center-to-corner diagonal holds one cell, so it has no geometry reset
+    out = tmp_path / "o"
+    pitch = sk.wavelength(27e9) / 2.0
+    assert main(["design", "--scenario", scenario_file, "--side-l", repr(cells * pitch),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "design_report.json").read_text())
+    assert report["cell_count"] == cells ** 2
+    assert report["ring_count"] == 1
+
+
 def test_design_with_table_csv(scenario_file, tmp_path):
     table_path = tmp_path / "cells.csv"
     table_path.write_text(table_csv(subsampled_table(4)))
@@ -357,20 +369,32 @@ def test_design_single_cell_beyond_fresnel_cube_exit(tmp_path, capsys):
 
 
 def test_thresholds_fresnel_side_past_float_square(tmp_path, capsys):
-    # (r_rx / 0.62)^2 overflows, but L_FR, its cube root, is about 4.7e102 m
-    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    # L_FR inverts the Fresnel bound at the nearer arm. A valid link keeps that
+    # arm below about 3.3e76 m, so (r / 0.62)^2 stays finite; on a huge
+    # symmetric link L_FR, its cube root, is about 1.0e46 m
+    cfg = _config_file(tmp_path, r_tx_m="1e70", r_rx_m="1e70")
     out = tmp_path / "o"
     code = main(["thresholds", "--scenario", cfg, "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr()
     assert printed.err == ""
-    # lengths of 1e6 m and more, and below 1e-6 m, print in exponent form
-    assert printed.out.splitlines()[:2] == ["L_TH = 3.580661e-79 m", "L_FR = 4.674224e+102 m"]
+    # lengths of 1e6 m and more print in exponent form
+    assert printed.out.splitlines()[:2] == ["L_TH = 8.006600e+33 m", "L_FR = 1.007031e+46 m"]
     l_fr = json.loads((out / "markers.json").read_text())["l_fr_m"]
     wavelength = sk.load_scenario(cfg).wavelength
     log_l_fr = (math.log(wavelength / (2.0 * math.sqrt(2.0)))
-                + 2.0 * math.log(1e155 / 0.62)) / 3.0
+                + 2.0 * math.log(1e70 / 0.62)) / 3.0
     assert l_fr == pytest.approx(math.exp(log_l_fr), rel=1e-12)
+    # on the far link the nearer arm, 1e-155 m, is below ten wavelengths, so no
+    # side is valid: L_FR is 0 and the interval empty; lengths below 1e-6 m
+    # print in exponent form
+    cfg = _config_file(tmp_path, r_tx_m="1e-155", r_rx_m="1e155")
+    code = main(["thresholds", "--scenario", cfg, "--out", str(tmp_path / "far")])
+    assert code == 2
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.splitlines() == ["L_TH = 3.580661e-79 m", "L_FR = 0.000000 m",
+                                        "interval empty"]
 
 
 _UNDERFLOW_ERROR = "path attenuation P_rx/P_tx underflows to 0"
@@ -432,6 +456,24 @@ def test_design_warns_exactly_when_the_row_is_fresnel_invalid(tmp_path, capsys, 
         r = format(min(arms), ".3f")
         assert err == (f"warning: {arm} at r = {r} m is inside the Fresnel bound "
                        "2.826 m for L = 0.200 m\n")
+
+
+def test_design_warns_from_the_first_whole_cell_side_past_thresholds_l_fr(tmp_path, capsys):
+    # thresholds' L_FR is the nearer arm's, so on a 14/17 m link the whole-cell
+    # side just below it is Fresnel-valid and the one just above it warns about
+    # the 14 m transmitter
+    cfg = _config_file(tmp_path, r_tx_m="14", r_rx_m="17", theta0_deg="33")
+    assert main(["thresholds", "--scenario", cfg, "--out", str(tmp_path / "t")]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "L_FR = 0.989949 m"
+    l_fr = json.loads((tmp_path / "t" / "markers.json").read_text())["l_fr_m"]
+    pitch = sk.load_scenario(cfg).pitch
+    cells = math.floor(l_fr / pitch)
+    for p, err in ((cells, ""),
+                   (cells + 1, "warning: transmitter at r = 14.000 m is inside the Fresnel "
+                               "bound 14.054 m for L = 0.994 m\n")):
+        assert main(["design", "--scenario", cfg, "--side-l", repr(p * pitch),
+                     "--out", str(tmp_path / str(p))]) == 0
+        assert capsys.readouterr().err == err
 
 
 def test_cuts_distance_past_float_range_exit(tmp_path, capsys):

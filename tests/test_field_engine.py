@@ -234,20 +234,20 @@ def test_fresnel_bounds_past_float_range():
             10.0 * (side * math.sqrt(2.0)),
             0.62 * math.sqrt(2.0 * side**3 * math.sqrt(2.0) / LAMBDA), 10.0 * LAMBDA), rel=1e-15)
     scale = LAMBDA / (2.0 * math.sqrt(2.0))
-    for r_tx, r_rx in ((15.0, 15.0), (15.0, 1e100), (1e-150, 1e150)):
+    # l_fresnel inverts the bound at the nearer arm; a valid link keeps that arm
+    # below about 3.3e76 m, so (r / 0.62)^2 stays finite and the factored form
+    # agrees with the plain one to rounding
+    for r_tx, r_rx in ((15.0, 15.0), (15.0, 1e100), (1e100, 15.0), (1e76, 1e76)):
+        r = min(r_tx, r_rx)
         side = sk.l_fresnel(make_scenario(r_tx=r_tx, r_rx=r_rx))
-        assert side == min(r_rx / (10.0 * math.sqrt(2.0)),
-                           scale ** (1.0 / 3.0) * (r_rx ** (2.0 / 3.0) / 0.62 ** (2.0 / 3.0)))
-        assert side == pytest.approx(min(r_rx / (10.0 * math.sqrt(2.0)),
-                                         (scale * (r_rx / 0.62) ** 2) ** (1.0 / 3.0)), rel=1e-15)
-    # on the far link (r / 0.62)^2 leaves float range, the side does not
-    far = sk.l_fresnel(make_scenario(r_tx=1e-155, r_rx=1e155))
-    log_far = (math.log(scale) + 2.0 * math.log(1e155 / 0.62)) / 3.0
-    assert far == pytest.approx(math.exp(log_far), rel=1e-12)
-    # and there, as on (15, 1e100) m, the two bounds invert each other
-    for r_tx, r_rx in ((1e-155, 1e155), (15.0, 1e100)):
-        side = sk.l_fresnel(make_scenario(r_tx=r_tx, r_rx=r_rx))
-        assert sk.fresnel_min_distance(side, LAMBDA) == pytest.approx(r_rx, rel=1e-12)
+        assert side == min(r / (10.0 * math.sqrt(2.0)),
+                           scale ** (1.0 / 3.0) * (r ** (2.0 / 3.0) / 0.62 ** (2.0 / 3.0)))
+        assert side == pytest.approx(min(r / (10.0 * math.sqrt(2.0)),
+                                         (scale * (r / 0.62) ** 2) ** (1.0 / 3.0)), rel=1e-15)
+        # the two bounds invert each other
+        assert sk.fresnel_min_distance(side, LAMBDA) == pytest.approx(r, rel=1e-12)
+    # on the far link the nearer arm, 1e-155 m, is below ten wavelengths: no side is valid
+    assert sk.l_fresnel(make_scenario(r_tx=1e-155, r_rx=1e155)) == 0.0
 
 
 def test_fresnel_modes():
@@ -264,15 +264,18 @@ def test_fresnel_modes():
 
 
 @settings(max_examples=200, deadline=None)
-@given(f=st.floats(1e9, 100e9), wavelengths=st.floats(10.0, 1e5))
-@example(f=27e9, wavelengths=1000.0)               # 10 diagonals binds
-@example(f=27e9, wavelengths=1e4)                  # 0.62*sqrt(D^3/lambda) binds
-@example(f=27e9, wavelengths=1000.0 / 0.62**2)     # where the two cross
-def test_fresnel_side_inverts_the_fresnel_bound(f, wavelengths):
+@given(f=st.floats(1e9, 100e9), tx_wavelengths=st.floats(10.0, 1e5),
+       rx_wavelengths=st.floats(10.0, 1e5))
+@example(f=27e9, tx_wavelengths=1e5, rx_wavelengths=1000.0)     # 10 diagonals binds
+@example(f=27e9, tx_wavelengths=1e4, rx_wavelengths=1e5)        # 0.62*sqrt(D^3/lambda) binds
+@example(f=27e9, tx_wavelengths=1000.0 / 0.62**2,               # where the two cross,
+         rx_wavelengths=1000.0 / 0.62**2)                       # on a tie
+def test_fresnel_side_inverts_the_fresnel_bound(f, tx_wavelengths, rx_wavelengths):
     lam = sk.wavelength(f)
-    scenario = make_scenario(f=f, r_rx=wavelengths * lam)
+    scenario = make_scenario(f=f, r_tx=tx_wavelengths * lam, r_rx=rx_wavelengths * lam)
     side = sk.l_fresnel(scenario)
-    assert sk.fresnel_min_distance(side, lam) == pytest.approx(scenario.r_rx, rel=1e-12)
+    assert sk.fresnel_min_distance(side, lam) == pytest.approx(
+        min(scenario.r_tx, scenario.r_rx), rel=1e-12)
 
 
 def relative_error(a, b):

@@ -152,8 +152,7 @@ def test_arm_swap_moves_screen_and_skin_tpa_by_at_most_a_hundredth_db(fraction, 
     scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
     swapped = make_scenario(f=f, r_tx=r_rx, r_rx=r_tx, theta0_deg=theta0_deg)
     # whole cells, at most 30, below the Fresnel side of the nearer arm
-    nearer = scenario if r_rx <= r_tx else swapped
-    cells = max(1, int(fraction * min(30.0, sk.l_fresnel(nearer) / scenario.pitch)))
+    cells = max(1, int(fraction * min(30.0, sk.l_fresnel(scenario) / scenario.pitch)))
     side = cells * scenario.pitch
     assert sk.fresnel_min_distance(side, scenario.wavelength) <= min(r_tx, r_rx)
     a_pcs = [sk.db(sk.pcs_tpa(s, side)) for s in (scenario, swapped)]
@@ -188,8 +187,7 @@ def test_fresnel_sum_matches_the_exact_distance_sum_up_to_l_fr(fraction, f, r_tx
     the skin's TPA within 0.05 dB. The panels hold whole cells, at most
     _EXACT_CELLS per side."""
     scenario = make_scenario(f=f, r_tx=r_tx, r_rx=r_rx, theta0_deg=theta0_deg)
-    nearer = make_scenario(f=f, r_tx=r_tx, r_rx=min(r_tx, r_rx), theta0_deg=theta0_deg)
-    cells = max(1, int(min(fraction * sk.l_fresnel(nearer) / scenario.pitch, _EXACT_CELLS)))
+    cells = max(1, int(min(fraction * sk.l_fresnel(scenario) / scenario.pitch, _EXACT_CELLS)))
     panel, _ = sk.design_panel(scenario, cells * scenario.pitch, TABLE)
     for currents in (sk.gstc_currents(panel, scenario),
                      sk.pcs_currents(sk.PcsPanel(grid=panel.grid), scenario)):

@@ -7,9 +7,11 @@ Every command runs as `python -m skinlink.cli` with PYTHONPATH=SRC, in its
 own directory OUT/<scenario>/<command>/, which receives the command's
 artifacts plus stdout.txt, stderr.txt and exit_code.txt. The far link,
 with arms of 1e-155 m and 1e155 m, runs every command too: its L_TH lies
-below 1e-6 m and its L_FR above 1e6 m, so both print in exponent form; its
-received power underflows to 0 and its cut points lie past float range, so
-its designs, side and theta0 sweep rows and cuts end in library errors.
+below 1e-6 m and prints in exponent form, and its nearer arm lies below ten
+wavelengths, so its L_FR is 0 and its thresholds exits 2 on the empty
+interval; its received power underflows to 0 and its cut points lie past
+float range, so its designs, side and theta0 sweep rows and cuts end in
+library errors.
 The inputs are written under OUT as well and passed by relative path, so no
 absolute path reaches an output: four scenario files and five reflection
 tables, a 22-row subsample of the synthetic table, the same subsample with
